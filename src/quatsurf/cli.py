@@ -12,8 +12,7 @@ Subcommands:
 All exact data travels as JSON with rationals rendered as "p/q" strings; the
 mesh exports are the one place decimals appear, with the digit count under a
 flag.  Outputs are deterministic for fixed inputs: nothing is timestamped and
-the only randomness sits behind ``--seed`` (default 0, or the SEED_DEFAULT
-environment variable).  Exit codes: 0 on success, 1 on a domain error with a
+nothing is random.  Exit codes: 0 on success, 1 on a domain error with a
 one-line JSON diagnostic on standard error, 2 on a usage error.
 """
 
@@ -21,7 +20,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from .errors import InvalidInput, QuatsurfError, TooFewPoints
@@ -63,11 +61,14 @@ def _emit(payload: str, out_path: str | None) -> None:
         handle.write(payload)
 
 
-def _default_seed() -> int:
+def _nonnegative_int(text: str) -> int:
     try:
-        return int(os.environ.get("SEED_DEFAULT", "0"))
+        value = int(text)
     except ValueError:
-        return 0
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, got {value}")
+    return value
 
 
 def _cmd_split(args) -> int:
@@ -150,7 +151,7 @@ def _cmd_check_circles(args) -> int:
         for fixed in fixed_values:
             points = coordinate_curve(spec, which, fixed, samples, mask_poles=True)
             try:
-                verdict = is_circle_or_line(points, seed=args.seed)
+                verdict = is_circle_or_line(points)
             except TooFewPoints:
                 verdict = None
             report.append(
@@ -202,7 +203,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--spec", required=True, metavar="S.json", help="surface file")
     p.add_argument("--grid", type=int, default=9, metavar="N", help="grid size per axis (default 9)")
     p.add_argument("--format", choices=("obj", "csv", "json"), default="json")
-    p.add_argument("--digits", type=int, default=12, help="decimal digits for obj/csv (default 12)")
+    p.add_argument("--digits", type=_nonnegative_int, default=12, help="decimal digits for obj/csv (default 12)")
     _add_out(p)
     p.set_defaults(func=_cmd_gen_surface)
 
@@ -211,7 +212,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--spec", required=True, metavar="S.json", help="surface file")
     p.add_argument("--curves", type=int, default=3, metavar="K", help="curves per direction (default 3)")
     p.add_argument("--samples", type=int, default=7, metavar="P", help="samples per curve (default 7)")
-    p.add_argument("--seed", type=int, default=_default_seed(), help="seed for subset sampling")
     _add_out(p)
     p.set_defaults(func=_cmd_check_circles)
 

@@ -124,16 +124,19 @@ def conj_transpose(m: Mat2) -> Mat2:
 
 # region degeneracy
 
-# Complex polynomials below are dicts from packed exponents du*_PACK + dv to
+# Complex polynomials below are dicts from packed exponents du*base + dv to
 # (re, im) integer pairs.  Keeping raw integers here matters: this predicate
-# dominates the runtime of the whole package.
-_PACK = 1 << 20
+# dominates the runtime of the whole package.  A 3x3 minor multiplies three
+# entries, so its v-degrees stay below base = 3*max_dv + 1 and packed keys
+# never carry into the u-part.
 
 
-def _cleared_int_coeffs(poly: QPolyUV, scale: int) -> list[tuple[int, int, int, int, int]]:
+def _cleared_int_coeffs(
+    poly: QPolyUV, scale: int, base: int
+) -> list[tuple[int, int, int, int, int]]:
     out = []
     for (du, dv), q in poly.terms.items():
-        key = du * _PACK + dv
+        key = du * base + dv
         w, x, y, z = q.components()
         out.append(
             (
@@ -155,6 +158,7 @@ def _embed(m: Mat2) -> list[list[dict[int, tuple[int, int]]]]:
     whether minors vanish.
     """
     grid: list[list[dict[int, tuple[int, int]]]] = [[{} for _ in range(4)] for _ in range(4)]
+    base = 3 * max((dv for poly in m.entries() for _, dv in poly.terms), default=0) + 1
     rows = ((m.m11, m.m12), (m.m21, m.m22))
     for i, row in enumerate(rows):
         scale = 1
@@ -172,7 +176,7 @@ def _embed(m: Mat2) -> list[list[dict[int, tuple[int, int]]]]:
             beta: dict[int, tuple[int, int]] = {}
             alpha_c: dict[int, tuple[int, int]] = {}
             beta_nc: dict[int, tuple[int, int]] = {}
-            for key, w, x, y, z in _cleared_int_coeffs(poly, scale):
+            for key, w, x, y, z in _cleared_int_coeffs(poly, scale, base):
                 if w or x:
                     alpha[key] = (w, x)
                     alpha_c[key] = (w, -x)

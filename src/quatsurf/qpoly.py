@@ -440,7 +440,7 @@ class QPolyUV:
             if not isinstance(entry, dict) or not {"u", "v", "c"} <= entry.keys():
                 raise InvalidInput("each monomial needs integer 'u', 'v' and a coefficient 'c'")
             du, dv = entry["u"], entry["v"]
-            if not isinstance(du, int) or not isinstance(dv, int) or du < 0 or dv < 0:
+            if type(du) is not int or type(dv) is not int or du < 0 or dv < 0:
                 raise InvalidInput("monomial exponents must be nonnegative integers")
             terms.append(((du, dv), Quaternion.from_json(entry["c"])))
         return cls(terms)
@@ -647,7 +647,7 @@ class RPolyUV:
             if not isinstance(entry, dict) or not {"u", "v", "c"} <= entry.keys():
                 raise InvalidInput("each monomial needs integer 'u', 'v' and a coefficient 'c'")
             du, dv = entry["u"], entry["v"]
-            if not isinstance(du, int) or not isinstance(dv, int) or du < 0 or dv < 0:
+            if type(du) is not int or type(dv) is not int or du < 0 or dv < 0:
                 raise InvalidInput("monomial exponents must be nonnegative integers")
             terms.append(((du, dv), rational_from_str(entry["c"])))
         return cls(terms)

@@ -20,8 +20,6 @@ first coordinate axis; ``stereo`` maps (w, x, y, z) to (x, y, z)/(1 - w) and
 
 from __future__ import annotations
 
-import itertools
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -491,64 +489,53 @@ def sample_grid(spec: SurfaceSpec, n: int):
 # region circle recognition
 
 
-def _det(rows) -> Fraction:
-    """Exact determinant by fraction-free elimination with row pivoting."""
-    a = [list(r) for r in rows]
-    n = len(a)
-    sign = 1
-    prev = Fraction(1)
-    for k in range(n - 1):
-        if not a[k][k]:
-            for i in range(k + 1, n):
-                if a[i][k]:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return Fraction(0)
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) / prev
-            a[i][k] = Fraction(0)
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
+def _sub(a, b):
+    return tuple(x - y for x, y in zip(a, b))
 
 
-def is_circle_or_line(
-    points, *, subset_cap: int = 50, sample_subsets: int = 200, seed: int = 0
-) -> bool:
+def _cross(a, b):
+    return (
+        a[1] * b[2] - a[2] * b[1],
+        a[2] * b[0] - a[0] * b[2],
+        a[0] * b[1] - a[1] * b[0],
+    )
+
+
+def is_circle_or_line(points) -> bool:
     """Whether all points lie on one circle or one straight line.
 
-    Checks that every 4-subset is coplanar and every 5-subset lies on a
-    common sphere or plane, via exact determinants of the affine and lifted
-    coordinate matrices.  Collinear point sets pass both tests.  Up to
-    ``subset_cap`` points all subsets are enumerated; beyond that,
-    ``sample_subsets`` subsets of each size are drawn from a seeded generator
-    so results stay reproducible.
+    Exact and linear in the number of points.  The first two points and the
+    first point not collinear with them span a plane with normal ``n`` and
+    have a rational circumcenter ``c``; a point ``p`` passes when
+    ``(p - p0) . n == 0`` and ``|p - c|**2 == |p0 - c|**2``, and the answer
+    is True only when every point passes.  When no such third point exists
+    the points are collinear and the answer is True.
 
     Raises:
         TooFewPoints: with fewer than five pairwise distinct points.
+        InvalidInput: if a point is not a 3-vector.
     """
-    pts = [tuple(Fraction(c) for c in p) for p in points]
+    pts = [_vec(p, 3) for p in points]
     if len(pts) < 5 or len(set(pts)) != len(pts):
         raise TooFewPoints("need at least five pairwise distinct points")
-
-    def subsets(size: int):
-        if len(pts) <= subset_cap:
-            yield from itertools.combinations(range(len(pts)), size)
-        else:
-            rng = random.Random(seed)
-            for _ in range(sample_subsets):
-                yield tuple(sorted(rng.sample(range(len(pts)), size)))
-
-    one = Fraction(1)
-    for quad in subsets(4):
-        rows = [[*pts[i], one] for i in quad]
-        if _det(rows):
-            return False
-    for quint in subsets(5):
-        rows = [[_dot(pts[i], pts[i]), *pts[i], one] for i in quint]
-        if _det(rows):
+    p0 = pts[0]
+    a = _sub(pts[1], p0)
+    for p in pts[2:]:
+        b = _sub(p, p0)
+        n = _cross(a, b)
+        if any(n):
+            break
+    else:
+        return True
+    # Circumcenter of p0, p0 + a, p0 + b:
+    # c = p0 + (|a|**2 (b x n) + |b|**2 (n x a)) / (2 |n|**2).
+    w = _add(_scale(_cross(b, n), _dot(a, a)), _scale(_cross(n, a), _dot(b, b)))
+    c = _add(p0, _scale(w, 1 / (2 * _dot(n, n))))
+    r = _sub(p0, c)
+    radius_sq = _dot(r, r)
+    for p in pts:
+        d = _sub(p, c)
+        if _dot(_sub(p, p0), n) or _dot(d, d) != radius_sq:
             return False
     return True
 

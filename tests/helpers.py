@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import combinations
 
 from quatsurf import (
     Circle3,
@@ -217,6 +218,69 @@ def q3poly_pow(p: dict[int, Q3], n: int) -> dict[int, Q3]:
     for _ in range(n):
         out = q3poly_mul(out, p)
     return out
+
+
+# endregion
+
+
+# region reference circle test by exhaustive determinants
+
+
+def det(rows) -> Fraction:
+    """Determinant by Gaussian elimination over the rationals."""
+    a = [[Fraction(c) for c in row] for row in rows]
+    n = len(a)
+    sign = 1
+    for k in range(n):
+        pivot = next((i for i in range(k, n) if a[i][k]), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != k:
+            a[k], a[pivot] = a[pivot], a[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            f = a[i][k] / a[k][k]
+            for j in range(k, n):
+                a[i][j] -= f * a[k][j]
+    out = Fraction(sign)
+    for k in range(n):
+        out *= a[k][k]
+    return out
+
+
+def _plane_normal(quad):
+    """Normal of the plane of some non-collinear triple of ``quad``, or None."""
+    for p, q, r in combinations(quad, 3):
+        a = [x - y for x, y in zip(q, p)]
+        b = [x - y for x, y in zip(r, p)]
+        n = (a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0])
+        if any(n):
+            return n
+    return None
+
+
+def reference_circle_or_line(points) -> bool:
+    """Exhaustive determinant test for at most ten distinct 3-space points.
+
+    Every 4-subset must be coplanar (4x4 affine determinant).  Each 4-subset
+    with a non-collinear triple is then joined by one point off its plane,
+    the first point plus the normal; the five points share a sphere, and so
+    the four share a circle, exactly when the lifted 5x5 determinant
+    vanishes.  Collinear sets pass.
+    """
+    pts = [tuple(Fraction(c) for c in p) for p in points]
+    assert len(pts) <= 10 and len(set(pts)) == len(pts)
+    for quad in combinations(pts, 4):
+        if det([[*p, 1] for p in quad]):
+            return False
+    for quad in combinations(pts, 4):
+        n = _plane_normal(quad)
+        if n is None:
+            continue
+        off = tuple(x + y for x, y in zip(quad[0], n))
+        if det([[sum(c * c for c in p), *p, 1] for p in (*quad, off)]):
+            return False
+    return True
 
 
 # endregion

@@ -233,6 +233,29 @@ def test_usage_errors_exit_2(capsys):
     assert run(capsys, "gen-surface", "--family", "q", "--spec", "x")[0] == 2
 
 
+def test_negative_digits_is_usage_error(e_spec_file, capsys):
+    rc, out, _ = run(
+        capsys, "gen-surface", "--family", "e", "--spec", e_spec_file,
+        "--format", "csv", "--digits", "-2",
+    )
+    assert rc == 2 and out == ""
+
+
+def test_boolean_exponent_is_clean_error(tmp_path, capsys):
+    term = {"u": True, "v": 0, "c": ["1", "0", "0", "0"]}
+    a = write_json(tmp_path / "a.json", [term])
+    b = write_json(tmp_path / "b.json", QPolyUV.one().to_json())
+    rc, out, err = run(capsys, "tuple-from-pair", "--a", a, "--b", b)
+    assert rc == 1 and out == ""
+    assert json.loads(err)["error"] == "InvalidInput"
+    doc = PyTuple(*(RPolyUV.const(c) for c in (3, 4, 0, 0, 0, 5))).to_json()
+    doc[0] = [{"u": 0, "v": True, "c": "3"}]
+    path = write_json(tmp_path / "t.json", doc)
+    rc, out, err = run(capsys, "verify-tuple", "--in", path)
+    assert rc == 1 and out == ""
+    assert json.loads(err)["error"] == "InvalidInput"
+
+
 def test_outputs_are_deterministic(e_spec_file, c_spec_file, capsys):
     invocations = [
         ("gen-surface", "--family", "e", "--spec", e_spec_file, "--grid", "5"),

@@ -140,6 +140,13 @@ def test_near_kron_not_degenerate():
     assert not is_degenerate(m)
 
 
+def test_high_v_degree_does_not_alias_u():
+    # u and v**(2**20) are distinct monomials; the matrix has full rank.
+    m = Mat2(QPolyUV.monomial(1, 0, 2**20), U, ONE_P, ONE_P)
+    assert not is_degenerate(m)
+    assert is_degenerate(Mat2(QPolyUV.monomial(1, 0, 2**20), U, ZERO, ZERO))
+
+
 def test_degeneracy_invariant_under_symmetries_and_col_op():
     rng = random.Random(26)
     for _ in range(25):

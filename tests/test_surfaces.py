@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from quatsurf import (
@@ -33,7 +33,7 @@ from quatsurf import (
     stereo_inv,
 )
 
-from helpers import rand_circle3, rand_circle_s3, rand_fraction
+from helpers import rand_circle3, rand_circle_s3, rand_fraction, reference_circle_or_line
 
 XY_CIRCLE = Circle3((0, 0, 0), (1, 0, 0), (0, 1, 0))
 XZ_CIRCLE = Circle3((0, 0, 0), (1, 0, 0), (0, 0, 1))
@@ -357,6 +357,79 @@ def test_circle_recognition_random_circles():
         circle = rand_circle3(rng)
         points = [circle.point(Fraction(k, 3)) for k in range(-3, 4)]
         assert is_circle_or_line(points)
+
+
+def test_circle_recognition_rejects_parabola():
+    assert not is_circle_or_line([(k, k * k, 0) for k in range(6)])
+
+
+def test_circle_recognition_rejects_point_on_sphere_off_plane():
+    # (0, 0, 1) is as far from the circle's center as the circle itself.
+    points = [(1, 0, 0), (0, 1, 0), (-1, 0, 0), (0, -1, 0), (0, 0, 1)]
+    assert not is_circle_or_line(points)
+
+
+def test_circle_recognition_rejects_square_plus_point():
+    points = [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (2, 0, 0)]
+    assert not is_circle_or_line(points)
+
+
+def _chord_move(points, i, j, mu):
+    """Move point i, ``p``, to ``p + mu*(p - q)`` on its line through point j, ``q``."""
+    moved = list(points)
+    moved[i] = tuple(a + mu * (a - b) for a, b in zip(points[i], points[j]))
+    return moved
+
+
+@pytest.mark.parametrize("family, size", [("e", 9), ("c", 64)])
+def test_circle_recognition_rejects_chord_move(family, size):
+    rng = random.Random(54)
+    if family == "e":
+        spec = SurfaceSpec.family_e(rand_circle3(rng), rand_circle3(rng))
+    else:
+        spec = SurfaceSpec.family_c(rand_circle_s3(rng), rand_circle_s3(rng))
+    points = coordinate_curve(spec, "u", Fraction(1, 2), grid_params(size), mask_poles=True)
+    assert is_circle_or_line(points)
+    assert not is_circle_or_line(_chord_move(points, 3, 5, Fraction(1, 2)))
+
+
+def test_circle_recognition_rejects_one_far_point_among_many():
+    dense = [XY_CIRCLE.point(Fraction(k, 7)) for k in range(1000)]
+    for index in (0, 250, 999):
+        spoiled = list(dense)
+        spoiled[index] = (5, 5, 5)
+        assert not is_circle_or_line(spoiled), index
+
+
+@st.composite
+def curve_points(draw):
+    """Five to ten distinct points of a rational circle or line, one maybe moved."""
+    rng = draw(st.randoms(use_true_random=False))
+    params = [Fraction(k, 3) for k in rng.sample(range(-15, 16), draw(st.integers(5, 10)))]
+    if draw(st.booleans()):
+        circle = rand_circle3(rng)
+        points = [circle.point(t) for t in params]
+    else:
+        base = tuple(rand_fraction(rng) for _ in range(3))
+        direction = tuple(rand_fraction(rng) for _ in range(3))
+        assume(any(direction))
+        points = [tuple(b + t * d for b, d in zip(base, direction)) for t in params]
+    i, j = rng.sample(range(len(points)), 2)
+    move = draw(st.sampled_from([None, "off-plane", "chord"]))
+    if move == "off-plane":
+        shift = tuple(rand_fraction(rng) for _ in range(3))
+        points[i] = tuple(a + b for a, b in zip(points[i], shift))
+    elif move == "chord":
+        mu = rand_fraction(rng)
+        assume(mu not in (0, -1))
+        points = _chord_move(points, i, j, mu)
+    assume(len(set(points)) == len(points))
+    return points
+
+
+@given(curve_points())
+def test_circle_recognition_matches_exhaustive_reference(points):
+    assert is_circle_or_line(points) == reference_circle_or_line(points)
 
 
 # endregion

@@ -47,6 +47,8 @@ def _load_json(path: str):
             return json.load(handle)
     except json.JSONDecodeError as exc:
         raise InvalidInput(f"{path}: invalid JSON ({exc})") from exc
+    except RecursionError:
+        raise InvalidInput(f"{path}: JSON nested too deeply") from None
 
 
 def _dump(obj) -> str:
@@ -61,14 +63,19 @@ def _emit(payload: str, out_path: str | None) -> None:
         handle.write(payload)
 
 
-def _nonnegative_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be at least 0, got {value}")
-    return value
+def _int_at_least(lo: int):
+    """An argparse type for integers no smaller than ``lo``."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+        if value < lo:
+            raise argparse.ArgumentTypeError(f"must be at least {lo}, got {value}")
+        return value
+
+    return parse
 
 
 def _cmd_split(args) -> int:
@@ -203,7 +210,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--spec", required=True, metavar="S.json", help="surface file")
     p.add_argument("--grid", type=int, default=9, metavar="N", help="grid size per axis (default 9)")
     p.add_argument("--format", choices=("obj", "csv", "json"), default="json")
-    p.add_argument("--digits", type=_nonnegative_int, default=12, help="decimal digits for obj/csv (default 12)")
+    p.add_argument("--digits", type=_int_at_least(0), default=12, help="decimal digits for obj/csv (default 12)")
     _add_out(p)
     p.set_defaults(func=_cmd_gen_surface)
 
@@ -211,7 +218,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", required=True, choices=("e", "c"))
     p.add_argument("--spec", required=True, metavar="S.json", help="surface file")
     p.add_argument("--curves", type=int, default=3, metavar="K", help="curves per direction (default 3)")
-    p.add_argument("--samples", type=int, default=7, metavar="P", help="samples per curve (default 7)")
+    p.add_argument(
+        "--samples", type=_int_at_least(5), default=7, metavar="P",
+        help="samples per curve, at least 5 (default 7)",
+    )
     _add_out(p)
     p.set_defaults(func=_cmd_check_circles)
 

@@ -1,19 +1,16 @@
 """2x2 matrices and 2-vectors over the quaternionic polynomial ring.
 
-A matrix is *degenerate* when its two rows are left-linearly dependent over
-the quotient ring, equivalently when its rank is at most 1.  Because left
-scalars do not commute past entries, this is decided through the classical
-complex embedding: each quaternion a + b*i + c*j + d*k becomes the 2x2
-complex block
+A matrix ``[[a, b], [c, d]]`` is *degenerate* when its two rows are
+left-linearly dependent over the quotient ring, equivalently when its rank is
+at most 1.  The quotient ring is a division ring and u, v are central, so with
+``a != 0`` this is the pivot identity
 
-    [[ a + b*i,  c + d*i],
-     [-c + d*i,  a - b*i]]
+    c * conj(a) * b == N(a) * d,    N(a) = a * conj(a) real and central,
 
-applied coefficientwise, turning the 2x2 quaternionic matrix into a 4x4
-matrix over complex polynomials whose rank is exactly twice the quaternionic
-rank.  Degeneracy therefore means every 3x3 minor of the embedded matrix
-vanishes identically, a decision that needs nothing beyond exact polynomial
-arithmetic.
+read off from ``(c, d) = (c * a^-1) * (a, b)`` with ``a^-1 = conj(a) / N(a)``
+(the Dieudonne/Study view of the quaternionic determinant).  With ``a = 0``
+the matrix is degenerate iff ``b = 0`` or ``c = 0``.  Deciding it needs one
+exact polynomial identity and nothing beyond integer arithmetic.
 """
 
 from __future__ import annotations
@@ -124,144 +121,72 @@ def conj_transpose(m: Mat2) -> Mat2:
 
 # region degeneracy
 
-# Complex polynomials below are dicts from packed exponents du*base + dv to
-# (re, im) integer pairs.  Keeping raw integers here matters: this predicate
-# dominates the runtime of the whole package.  A 3x3 minor multiplies three
-# entries, so its v-degrees stay below base = 3*max_dv + 1 and packed keys
-# never carry into the u-part.
+# Integer polynomials: dicts from exponent pairs (du, dv) to quaternion
+# components (w, x, y, z).  Raw integers spare the Fraction normalization that
+# every coefficient product of QPolyUV pays.
+_IntPoly = dict[tuple[int, int], tuple[int, int, int, int]]
 
 
-def _cleared_int_coeffs(
-    poly: QPolyUV, scale: int, base: int
-) -> list[tuple[int, int, int, int, int]]:
-    out = []
-    for (du, dv), q in poly.terms.items():
-        key = du * base + dv
-        w, x, y, z = q.components()
-        out.append(
-            (
-                key,
-                w.numerator * (scale // w.denominator),
-                x.numerator * (scale // x.denominator),
-                y.numerator * (scale // y.denominator),
-                z.numerator * (scale // z.denominator),
-            )
-        )
-    return out
+def _int_row(row: tuple[QPolyUV, QPolyUV]) -> list[_IntPoly]:
+    """The row's entries as integer polynomials, scaled by the lcm of its denominators."""
+    scale = 1
+    for poly in row:
+        for q in poly.terms.values():
+            scale = lcm(scale, q.w.denominator, q.x.denominator, q.y.denominator, q.z.denominator)
+    return [
+        {
+            key: tuple(c.numerator * (scale // c.denominator) for c in (q.w, q.x, q.y, q.z))
+            for key, q in poly.terms.items()
+        }
+        for poly in row
+    ]
 
 
-def _embed(m: Mat2) -> list[list[dict[int, tuple[int, int]]]]:
-    """4x4 complex-polynomial matrix of the embedding, with integer coefficients.
-
-    Each quaternionic row is scaled by the lcm of its coefficient
-    denominators; row scaling by a positive central integer cannot change
-    whether minors vanish.
-    """
-    grid: list[list[dict[int, tuple[int, int]]]] = [[{} for _ in range(4)] for _ in range(4)]
-    base = 3 * max((dv for poly in m.entries() for _, dv in poly.terms), default=0) + 1
-    rows = ((m.m11, m.m12), (m.m21, m.m22))
-    for i, row in enumerate(rows):
-        scale = 1
-        for poly in row:
-            for q in poly.terms.values():
-                scale = lcm(
-                    scale,
-                    q.w.denominator,
-                    q.x.denominator,
-                    q.y.denominator,
-                    q.z.denominator,
-                )
-        for j, poly in enumerate(row):
-            alpha: dict[int, tuple[int, int]] = {}
-            beta: dict[int, tuple[int, int]] = {}
-            alpha_c: dict[int, tuple[int, int]] = {}
-            beta_nc: dict[int, tuple[int, int]] = {}
-            for key, w, x, y, z in _cleared_int_coeffs(poly, scale, base):
-                if w or x:
-                    alpha[key] = (w, x)
-                    alpha_c[key] = (w, -x)
-                if y or z:
-                    beta[key] = (y, z)
-                    beta_nc[key] = (-y, z)
-            grid[2 * i][2 * j] = alpha
-            grid[2 * i][2 * j + 1] = beta
-            grid[2 * i + 1][2 * j] = beta_nc
-            grid[2 * i + 1][2 * j + 1] = alpha_c
-    return grid
-
-
-def _cp_mul(p: dict[int, tuple[int, int]], q: dict[int, tuple[int, int]]) -> dict:
-    out: dict[int, tuple[int, int]] = {}
+def _int_mul(p: _IntPoly, q: _IntPoly) -> _IntPoly:
+    """Product of two integer quaternion polynomials, with p on the left."""
+    out: _IntPoly = {}
     get = out.get
-    for k1, (r1, i1) in p.items():
-        for k2, (r2, i2) in q.items():
-            k = k1 + k2
-            cur = get(k)
+    for (u1, v1), (a0, a1, a2, a3) in p.items():
+        for (u2, v2), (b0, b1, b2, b3) in q.items():
+            key = (u1 + u2, v1 + v2)
+            w = a0 * b0 - a1 * b1 - a2 * b2 - a3 * b3
+            x = a0 * b1 + a1 * b0 + a2 * b3 - a3 * b2
+            y = a0 * b2 - a1 * b3 + a2 * b0 + a3 * b1
+            z = a0 * b3 + a1 * b2 - a2 * b1 + a3 * b0
+            cur = get(key)
             if cur is None:
-                out[k] = (r1 * r2 - i1 * i2, r1 * i2 + i1 * r2)
+                out[key] = (w, x, y, z)
             else:
-                out[k] = (cur[0] + r1 * r2 - i1 * i2, cur[1] + r1 * i2 + i1 * r2)
+                out[key] = (cur[0] + w, cur[1] + x, cur[2] + y, cur[3] + z)
     return out
 
 
-def _cp_sub(p: dict, q: dict) -> dict:
-    out = dict(p)
-    for k, (r, i) in q.items():
-        cur = out.get(k)
-        if cur is None:
-            out[k] = (-r, -i)
-        else:
-            out[k] = (cur[0] - r, cur[1] - i)
-    return out
+def _int_conj(p: _IntPoly) -> _IntPoly:
+    return {key: (w, -x, -y, -z) for key, (w, x, y, z) in p.items()}
 
 
-def _cp_add(p: dict, q: dict) -> dict:
-    out = dict(p)
-    for k, (r, i) in q.items():
-        cur = out.get(k)
-        if cur is None:
-            out[k] = (r, i)
-        else:
-            out[k] = (cur[0] + r, cur[1] + i)
-    return out
-
-
-def _cp_is_zero(p: dict) -> bool:
-    return all(r == 0 and i == 0 for r, i in p.values())
-
-
-_TRIPLES = ((0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3))
+def _int_equal(p: _IntPoly, q: _IntPoly) -> bool:
+    zero = (0, 0, 0, 0)
+    return all(p.get(key, zero) == q.get(key, zero) for key in p.keys() | q.keys())
 
 
 def is_degenerate(m: Mat2) -> bool:
     """Whether the rows are left-linearly dependent (rank at most 1).
 
-    Embeds the matrix into 4x4 complex polynomials and checks that all
-    sixteen 3x3 minors vanish identically; returns on the first nonzero
-    minor.  Exact, no floating point, no fraction-field arithmetic.
+    With ``m11 = 0`` the rows ``(0, b)`` and ``(c, d)`` are dependent exactly
+    when ``b = 0`` or ``c = 0``.  Otherwise the second row must be
+    ``c * a^-1`` times the first, which leaves the single condition
+    ``c * conj(a) * b == N(a) * d`` with the central norm ``N(a) = a * conj(a)``.
+    Each row is first scaled by the lcm of its denominators, a positive
+    central integer under which the identity is homogeneous, so the check
+    runs on integer coefficients.  Exact, no floating point.
     """
-    grid = _embed(m)
-    det2: dict[tuple[int, int, int, int], dict] = {}
-
-    def minor2(r: int, s: int, a: int, b: int) -> dict:
-        key = (r, s, a, b)
-        cached = det2.get(key)
-        if cached is None:
-            cached = det2[key] = _cp_sub(
-                _cp_mul(grid[r][a], grid[s][b]), _cp_mul(grid[r][b], grid[s][a])
-            )
-        return cached
-
-    for i, j, k in _TRIPLES:
-        for a, b, c in _TRIPLES:
-            acc = _cp_sub(
-                _cp_mul(grid[i][a], minor2(j, k, b, c)),
-                _cp_mul(grid[i][b], minor2(j, k, a, c)),
-            )
-            acc = _cp_add(acc, _cp_mul(grid[i][c], minor2(j, k, a, b)))
-            if not _cp_is_zero(acc):
-                return False
-    return True
+    if m.m11.is_zero:
+        return m.m12.is_zero or m.m21.is_zero
+    a, b = _int_row((m.m11, m.m12))
+    c, d = _int_row((m.m21, m.m22))
+    a_conj = _int_conj(a)
+    return _int_equal(_int_mul(_int_mul(c, a_conj), b), _int_mul(_int_mul(a, a_conj), d))
 
 
 # endregion

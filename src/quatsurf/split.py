@@ -166,28 +166,43 @@ def _case_v_free(cur: Mat2) -> list:
     return moves
 
 
+def _move_slopes(slopes, op: str):
+    """The v-slopes after a symmetry, read off the slopes before it.
+
+    v is central and conjugation acts coefficientwise, so each slope follows
+    its entry: swaps permute the four, and the conjugate transpose also
+    conjugates them.
+    """
+    s11, s12, s21, s22 = slopes
+    if op == _SR:
+        return (s21, s22, s11, s12)
+    if op == _SC:
+        return (s12, s11, s22, s21)
+    return (s11.conj(), s21.conj(), s12.conj(), s22.conj())
+
+
 def _case_v_bound(cur: Mat2) -> list:
     """One division step on the v-linear slopes, chosen by the progress guard.
 
     Tries every symmetry that exposes nonzero slopes at 22 and 21, preferring
     a minimal-degree pivot slope, and accepts the first column operation that
-    strictly shrinks (slope count, minimal slope degree).  For degenerate
-    input such a step always exists; the guard protects against silent loops.
+    strictly shrinks (slope count, minimal slope degree).  Only the slopes go
+    through the symmetries; the accepted one is applied to the matrix by the
+    caller.  For degenerate input such a step always exists; the guard
+    protects against silent loops.
     """
-    cur_measure = _measure(_slopes(cur))
+    # Every symmetry's proper prefix precedes it in _SYMMETRIES.
+    derived = {(): _slopes(cur)}
+    cur_measure = _measure(derived[()])
     candidates = []
     for idx, sym in enumerate(_SYMMETRIES):
-        t = cur
-        for op in sym:
-            t = _apply_move(t, (op,))
-        slopes = _slopes(t)
-        s22 = slopes[3]
-        s21 = slopes[2]
-        if not s22 or not s21:
-            continue
-        candidates.append((s22.degree, idx, sym, t, slopes))
+        if sym:
+            derived[sym] = _move_slopes(derived[sym[:-1]], sym[-1])
+        slopes = derived[sym]
+        if slopes[3] and slopes[2]:
+            candidates.append((slopes[3].degree, idx, sym, slopes))
     candidates.sort(key=lambda c: (c[0], c[1]))
-    for _, _, sym, t, slopes in candidates:
+    for _, _, sym, slopes in candidates:
         q, r = left_div_rem(slopes[2], slopes[3])
         if not q:
             continue

@@ -13,10 +13,12 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 
 from quatsurf import (
     Circle3,
     CircleS3,
+    Mat2,
     QPolyU,
     QPolyUV,
     Quaternion,
@@ -280,6 +282,150 @@ def reference_circle_or_line(points) -> bool:
         off = tuple(x + y for x, y in zip(quad[0], n))
         if det([[sum(c * c for c in p), *p, 1] for p in (*quad, off)]):
             return False
+    return True
+
+
+# endregion
+
+# region reference degeneracy test by the complex embedding
+
+# Complex polynomials below are dicts from packed exponents du*base + dv to
+# (re, im) integer pairs.  A 3x3 minor multiplies three entries, so its
+# v-degrees stay below base = 3*max_dv + 1 and packed keys never carry into
+# the u-part.
+
+
+def _cleared_int_coeffs(
+    poly: QPolyUV, scale: int, base: int
+) -> list[tuple[int, int, int, int, int]]:
+    out = []
+    for (du, dv), q in poly.terms.items():
+        key = du * base + dv
+        w, x, y, z = q.components()
+        out.append(
+            (
+                key,
+                w.numerator * (scale // w.denominator),
+                x.numerator * (scale // x.denominator),
+                y.numerator * (scale // y.denominator),
+                z.numerator * (scale // z.denominator),
+            )
+        )
+    return out
+
+
+def _embed(m: Mat2) -> list[list[dict[int, tuple[int, int]]]]:
+    """4x4 complex-polynomial matrix of the embedding, with integer coefficients.
+
+    Each quaternionic row is scaled by the lcm of its coefficient
+    denominators; row scaling by a positive central integer cannot change
+    whether minors vanish.
+    """
+    grid: list[list[dict[int, tuple[int, int]]]] = [[{} for _ in range(4)] for _ in range(4)]
+    base = 3 * max((dv for poly in m.entries() for _, dv in poly.terms), default=0) + 1
+    rows = ((m.m11, m.m12), (m.m21, m.m22))
+    for i, row in enumerate(rows):
+        scale = 1
+        for poly in row:
+            for q in poly.terms.values():
+                scale = lcm(
+                    scale,
+                    q.w.denominator,
+                    q.x.denominator,
+                    q.y.denominator,
+                    q.z.denominator,
+                )
+        for j, poly in enumerate(row):
+            alpha: dict[int, tuple[int, int]] = {}
+            beta: dict[int, tuple[int, int]] = {}
+            alpha_c: dict[int, tuple[int, int]] = {}
+            beta_nc: dict[int, tuple[int, int]] = {}
+            for key, w, x, y, z in _cleared_int_coeffs(poly, scale, base):
+                if w or x:
+                    alpha[key] = (w, x)
+                    alpha_c[key] = (w, -x)
+                if y or z:
+                    beta[key] = (y, z)
+                    beta_nc[key] = (-y, z)
+            grid[2 * i][2 * j] = alpha
+            grid[2 * i][2 * j + 1] = beta
+            grid[2 * i + 1][2 * j] = beta_nc
+            grid[2 * i + 1][2 * j + 1] = alpha_c
+    return grid
+
+
+def _cp_mul(p: dict[int, tuple[int, int]], q: dict[int, tuple[int, int]]) -> dict:
+    out: dict[int, tuple[int, int]] = {}
+    get = out.get
+    for k1, (r1, i1) in p.items():
+        for k2, (r2, i2) in q.items():
+            k = k1 + k2
+            cur = get(k)
+            if cur is None:
+                out[k] = (r1 * r2 - i1 * i2, r1 * i2 + i1 * r2)
+            else:
+                out[k] = (cur[0] + r1 * r2 - i1 * i2, cur[1] + r1 * i2 + i1 * r2)
+    return out
+
+
+def _cp_sub(p: dict, q: dict) -> dict:
+    out = dict(p)
+    for k, (r, i) in q.items():
+        cur = out.get(k)
+        if cur is None:
+            out[k] = (-r, -i)
+        else:
+            out[k] = (cur[0] - r, cur[1] - i)
+    return out
+
+
+def _cp_add(p: dict, q: dict) -> dict:
+    out = dict(p)
+    for k, (r, i) in q.items():
+        cur = out.get(k)
+        if cur is None:
+            out[k] = (r, i)
+        else:
+            out[k] = (cur[0] + r, cur[1] + i)
+    return out
+
+
+def _cp_is_zero(p: dict) -> bool:
+    return all(r == 0 and i == 0 for r, i in p.values())
+
+
+_TRIPLES = ((0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3))
+
+
+def reference_is_degenerate(m: Mat2) -> bool:
+    """Degeneracy by the classical complex embedding, as an independent oracle.
+
+    Each quaternion a + b*i + c*j + d*k becomes the complex block
+    [[a + b*i, c + d*i], [-c + d*i, a - b*i]], coefficientwise, so the 2x2
+    quaternionic matrix becomes a 4x4 complex-polynomial matrix of twice its
+    rank.  The matrix is degenerate iff all sixteen 3x3 minors vanish.
+    """
+    grid = _embed(m)
+    det2: dict[tuple[int, int, int, int], dict] = {}
+
+    def minor2(r: int, s: int, a: int, b: int) -> dict:
+        key = (r, s, a, b)
+        cached = det2.get(key)
+        if cached is None:
+            cached = det2[key] = _cp_sub(
+                _cp_mul(grid[r][a], grid[s][b]), _cp_mul(grid[r][b], grid[s][a])
+            )
+        return cached
+
+    for i, j, k in _TRIPLES:
+        for a, b, c in _TRIPLES:
+            acc = _cp_sub(
+                _cp_mul(grid[i][a], minor2(j, k, b, c)),
+                _cp_mul(grid[i][b], minor2(j, k, a, c)),
+            )
+            acc = _cp_add(acc, _cp_mul(grid[i][c], minor2(j, k, a, b)))
+            if not _cp_is_zero(acc):
+                return False
     return True
 
 

@@ -241,6 +241,26 @@ def test_negative_digits_is_usage_error(e_spec_file, capsys):
     assert rc == 2 and out == ""
 
 
+def test_too_few_samples_is_usage_error(e_spec_file, capsys):
+    # Below five samples no curve can be checked, so no report may claim success.
+    rc, out, _ = run(
+        capsys, "check-circles", "--family", "e", "--spec", e_spec_file,
+        "--samples", "3", "--curves", "1",
+    )
+    assert rc == 2 and out == ""
+    rc, out, _ = run(capsys, "check-circles", "--family", "e", "--spec", e_spec_file, "--samples", "5")
+    assert rc == 0 and json.loads(out)["all_pass"] is True
+
+
+def test_deeply_nested_json_is_clean_error(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100000, encoding="utf-8")
+    rc, out, err = run(capsys, "degenerate", "--in", str(path))
+    assert rc == 1 and out == ""
+    assert json.loads(err)["error"] == "InvalidInput"
+    assert len(err.splitlines()) == 1
+
+
 def test_boolean_exponent_is_clean_error(tmp_path, capsys):
     term = {"u": True, "v": 0, "c": ["1", "0", "0", "0"]}
     a = write_json(tmp_path / "a.json", [term])

@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quatsurf import (
     InvalidInput,
@@ -19,7 +21,13 @@ from quatsurf import (
 )
 from quatsurf.quat import I, J, K, ONE
 
-from helpers import rand_qpolyuv, rand_rpolyuv, rand_vec2
+from helpers import (
+    rand_nonzero_qpolyuv,
+    rand_qpolyuv,
+    rand_rpolyuv,
+    rand_vec2,
+    reference_is_degenerate,
+)
 
 U = QPolyUV.var_u()
 V = QPolyUV.var_v()
@@ -171,6 +179,57 @@ def test_real_entries_match_commutative_determinant():
         m = Mat2(a.to_quat(), b.to_quat(), c.to_quat(), d.to_quat())
         assert is_degenerate(m) == (a * d - b * c).is_zero
 
+
+
+def test_order_of_the_pivot_product_matters():
+    # 1*k - i*j = 0 commutatively, but the left multiple of row (1, i) that
+    # starts with j is (j, j*i) = (j, -k), so only the second matrix is
+    # degenerate.  Checking b*conj(a)*c instead of c*conj(a)*b gets both wrong.
+    assert not is_degenerate(Mat2(ONE_P, const(I), const(J), const(K)))
+    assert is_degenerate(Mat2(ONE_P, const(I), const(J), const(-K)))
+
+
+def test_zero_pivot_with_both_neighbors_nonzero_has_full_rank():
+    rng = random.Random(29)
+    for _ in range(10):
+        b, c = rand_nonzero_qpolyuv(rng), rand_nonzero_qpolyuv(rng)
+        d = rand_qpolyuv(rng)
+        assert not is_degenerate(Mat2(ZERO, b, c, d))
+        assert is_degenerate(Mat2(ZERO, ZERO, c, d))
+        assert is_degenerate(Mat2(ZERO, b, ZERO, d))
+
+
+# The five shapes with a zero at 11, as masks over (m12, m21, m22).
+_ZERO_AT_11 = ((1, 1, 1), (0, 1, 1), (1, 0, 1), (1, 1, 0), (0, 0, 1))
+
+
+@st.composite
+def degeneracy_cases(draw):
+    """Rank-one products, perturbed products, zero-pivot shapes and random matrices."""
+    rng = draw(st.randoms(use_true_random=False))
+    kw = draw(st.sampled_from([{}, {"max_num": 999999, "max_den": 999999}]))
+    kind = draw(st.sampled_from(["kron", "kron-zero-head", "kron-plus-22", "zero-at-11", "random"]))
+    if kind == "zero-at-11":
+        mask = draw(st.sampled_from(_ZERO_AT_11))
+        return Mat2(ZERO, *(rand_nonzero_qpolyuv(rng, **kw) if keep else ZERO for keep in mask))
+    if kind == "random":
+        return Mat2(*(rand_qpolyuv(rng, **kw) for _ in range(4)))
+    x, y = rand_vec2(rng, **kw), rand_vec2(rng, **kw)
+    if kind == "kron-zero-head":
+        if draw(st.booleans()):
+            x = Vec2(ZERO, x.e2)
+        else:
+            y = Vec2(ZERO, y.e2)
+    m = kron(x, y)
+    if kind == "kron-plus-22":
+        m = Mat2(m.m11, m.m12, m.m21, m.m22 + rand_nonzero_qpolyuv(rng, **kw))
+    return m
+
+
+@settings(max_examples=120)
+@given(degeneracy_cases())
+def test_degeneracy_matches_complex_embedding(m):
+    assert is_degenerate(m) == reference_is_degenerate(m)
 
 # endregion
 

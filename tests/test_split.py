@@ -22,6 +22,7 @@ from quatsurf import (
     swap_rows,
 )
 from quatsurf.quat import I, J, K, ONE
+from quatsurf.split import _apply_move, _case_v_bound, _measure, _slopes
 
 from helpers import rand_qpolyuv, rand_vec2
 
@@ -29,6 +30,10 @@ U = QPolyUV.var_u()
 V = QPolyUV.var_v()
 ZERO = QPolyUV.zero()
 ONE_P = QPolyUV.one()
+
+
+def const(*components) -> QPolyUV:
+    return QPolyUV.const(Quaternion(*components))
 
 
 def assert_splits(m: Mat2) -> SplitCertificate:
@@ -63,6 +68,55 @@ def test_constant_pythagorean_matrix():
     )
     assert_splits(m)
 
+
+# Raw (un-normalized) split certificates, frozen.  Each reduction takes a
+# conjugate transpose, so a symmetry search that ranks, derives or applies
+# the symmetries differently changes the factors.
+_FROZEN_SPLITS = [
+    (
+        kron(Vec2(ONE_P, U), Vec2(V * I + U, V * J)),
+        {
+            "x": [[{"u": 0, "v": 0, "c": ["1", "0", "0", "0"]}], [{"u": 1, "v": 0, "c": ["1", "0", "0", "0"]}]],
+            "y": [[{"u": 0, "v": 1, "c": ["0", "1", "0", "0"]}, {"u": 1, "v": 0, "c": ["1", "0", "0", "0"]}], [{"u": 0, "v": 1, "c": ["0", "0", "1", "0"]}]],
+        },
+    ),
+    (
+        kron(Vec2(U * const(1, 1), U * I), Vec2(U * K + U * V * const(1, 1), V * const(1, 0, -1))),
+        {
+            "x": [[{"u": 0, "v": 0, "c": ["1", "-1", "0", "0"]}], [{"u": 0, "v": 0, "c": ["1", "0", "0", "0"]}]],
+            "y": [[{"u": 2, "v": 0, "c": ["0", "0", "-1", "0"]}, {"u": 2, "v": 1, "c": ["-1", "1", "0", "0"]}], [{"u": 1, "v": 1, "c": ["0", "1", "0", "-1"]}]],
+        },
+    ),
+    (
+        kron(Vec2(U * J, ONE_P + U * const(1, 0, -1)), Vec2(const(1, 1) + U * 2, ONE_P + V * const(1, 1))),
+        {
+            "x": [[{"u": 1, "v": 0, "c": ["-1", "0", "1", "0"]}], [{"u": 0, "v": 0, "c": ["1", "0", "1", "0"]}, {"u": 1, "v": 0, "c": ["2", "0", "0", "0"]}]],
+            "y": [[{"u": 0, "v": 0, "c": ["1/2", "1/2", "-1/2", "1/2"]}, {"u": 1, "v": 0, "c": ["1", "0", "-1", "0"]}], [{"u": 0, "v": 0, "c": ["1/2", "0", "-1/2", "0"]}, {"u": 0, "v": 1, "c": ["1/2", "1/2", "-1/2", "1/2"]}]],
+        },
+    ),
+]
+
+
+@pytest.mark.parametrize("m, frozen", _FROZEN_SPLITS, ids=["row-swap-then-ct", "co-then-ct", "ct-first"])
+def test_split_choices_are_frozen(m, frozen):
+    assert split(m).to_json() == frozen
+
+
+
+def test_each_v_step_shrinks_the_measure_of_the_matrix():
+    # The search ranks symmetries by slopes derived without moving the
+    # matrix; the step it returns must still shrink the measure once applied.
+    rng = random.Random(39)
+    for _ in range(40):
+        if rng.random() < 0.5:
+            m = kron(rand_vec2(rng, 1, 1), rand_vec2(rng, 2, 0))
+        else:
+            m = kron(rand_vec2(rng, 2, 0), rand_vec2(rng, 1, 1))
+        while all(m.entries()) and any(e.deg_v > 0 for e in m.entries()):
+            before = _measure(_slopes(m))
+            for move in _case_v_bound(m):
+                m = _apply_move(m, move)
+            assert _measure(_slopes(m)) < before
 
 # endregion
 

@@ -45,7 +45,9 @@ def _load_json(path: str):
     try:
         with open(path, "r", encoding="utf-8") as handle:
             return json.load(handle)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
+        # JSONDecodeError, UnicodeDecodeError and integer literals over the
+        # interpreter's digit limit are all ValueErrors.
         raise InvalidInput(f"{path}: invalid JSON ({exc})") from exc
     except RecursionError:
         raise InvalidInput(f"{path}: JSON nested too deeply") from None
@@ -208,7 +210,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = commands.add_parser("gen-surface", help="sample a surface to OBJ, CSV or JSON")
     p.add_argument("--family", required=True, choices=("e", "c", "d"))
     p.add_argument("--spec", required=True, metavar="S.json", help="surface file")
-    p.add_argument("--grid", type=int, default=9, metavar="N", help="grid size per axis (default 9)")
+    p.add_argument(
+        "--grid", type=_int_at_least(2), default=9, metavar="N",
+        help="grid size per axis, at least 2 (default 9)",
+    )
     p.add_argument("--format", choices=("obj", "csv", "json"), default="json")
     p.add_argument("--digits", type=_int_at_least(0), default=12, help="decimal digits for obj/csv (default 12)")
     _add_out(p)
@@ -217,7 +222,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = commands.add_parser("check-circles", help="test sampled coordinate curves for circularity")
     p.add_argument("--family", required=True, choices=("e", "c"))
     p.add_argument("--spec", required=True, metavar="S.json", help="surface file")
-    p.add_argument("--curves", type=int, default=3, metavar="K", help="curves per direction (default 3)")
+    p.add_argument(
+        "--curves", type=_int_at_least(1), default=3, metavar="K",
+        help="curves per direction, at least 1 (default 3)",
+    )
     p.add_argument(
         "--samples", type=_int_at_least(5), default=7, metavar="P",
         help="samples per curve, at least 5 (default 7)",

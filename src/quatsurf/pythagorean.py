@@ -19,9 +19,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import BasePoint, InvalidInput, NotTupleShaped, QuatsurfError
+from .errors import BasePoint, NotTupleShaped, QuatsurfError
 from .qmat import Mat2, is_degenerate
 from .qpoly import QPolyUV, RPolyUV, quat_poly
+from .quat import _json_array
 
 
 @dataclass(frozen=True)
@@ -43,8 +44,7 @@ class PyTuple:
 
     @classmethod
     def from_json(cls, obj) -> "PyTuple":
-        if not isinstance(obj, list) or len(obj) != 6:
-            raise InvalidInput("a tuple must be a 6-element array of real polynomials")
+        obj = _json_array(obj, 6, "a tuple must be a 6-element array of real polynomials")
         return cls(*(RPolyUV.from_json(p) for p in obj))
 
 

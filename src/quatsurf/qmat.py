@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from math import lcm
 
 from .qpoly import QPolyUV
+from .quat import _json_array
 
 # region types
 
@@ -38,11 +39,8 @@ class Vec2:
 
     @classmethod
     def from_json(cls, obj) -> "Vec2":
-        from .errors import InvalidInput
-
-        if not isinstance(obj, list) or len(obj) != 2:
-            raise InvalidInput("a vector must be a 2-element array of polynomials")
-        return cls(QPolyUV.from_json(obj[0]), QPolyUV.from_json(obj[1]))
+        e1, e2 = _json_array(obj, 2, "a vector must be a 2-element array of polynomials")
+        return cls(QPolyUV.from_json(e1), QPolyUV.from_json(e2))
 
 
 @dataclass(frozen=True)
@@ -69,20 +67,9 @@ class Mat2:
 
     @classmethod
     def from_json(cls, obj) -> "Mat2":
-        from .errors import InvalidInput
-
-        if (
-            not isinstance(obj, list)
-            or len(obj) != 2
-            or any(not isinstance(row, list) or len(row) != 2 for row in obj)
-        ):
-            raise InvalidInput("a matrix must be a 2x2 nested array of polynomials")
-        return cls(
-            QPolyUV.from_json(obj[0][0]),
-            QPolyUV.from_json(obj[0][1]),
-            QPolyUV.from_json(obj[1][0]),
-            QPolyUV.from_json(obj[1][1]),
-        )
+        message = "a matrix must be a 2x2 nested array of polynomials"
+        (a, b), (c, d) = (_json_array(row, 2, message) for row in _json_array(obj, 2, message))
+        return cls(QPolyUV.from_json(a), QPolyUV.from_json(b), QPolyUV.from_json(c), QPolyUV.from_json(d))
 
 
 # endregion

@@ -9,6 +9,10 @@ Three layered representations:
 * :class:`RPolyUV` restricts coefficients to rationals.  Real polynomials are
   central in the quaternionic ring, which several identities below rely on.
 
+The two sparse classes share one core, ``_SparseUV``: term normalization,
+addition, evaluation and the JSON codec; each adds only its products and
+conversions.
+
 Because the coefficient ring has no zero divisors and the variables are
 central, nonzero polynomials multiply to nonzero polynomials and degrees add
 per variable.  The zero polynomial has degree ``NEG_INF``, which compares
@@ -21,13 +25,14 @@ from fractions import Fraction
 from typing import Iterable, Mapping
 
 from .errors import DegreeTooHigh, InvalidInput
-from .quat import Quaternion, rational_from_str, rational_to_str
+from .quat import Quaternion, _coerce as _coerce_rational, _json_object, rational_from_str, rational_to_str
 
 #: Degree of the zero polynomial; strictly less than every integer degree.
 NEG_INF = float("-inf")
 
 _Q_ZERO = Quaternion.zero()
 _Q_ONE = Quaternion.one()
+_ZERO_FR = Fraction(0)
 
 
 def _coerce_quat(value) -> Quaternion:
@@ -230,55 +235,69 @@ def _div_rem(a: QPolyU, b: QPolyU, left: bool) -> tuple[QPolyU, QPolyU]:
 # region bivariate
 
 
-class QPolyUV:
+class _SparseUV:
     """Sparse polynomial in central commuting variables u and v.
 
-    Stored as a map from exponent pairs ``(du, dv)`` to nonzero quaternion
-    coefficients.  Instances are immutable values.
+    Stored as a map from exponent pairs ``(du, dv)`` to nonzero coefficients.
+    Instances are immutable values.  A subclass fixes the coefficient ring
+    with five class attributes: ``_coerce`` turns an accepted scalar into a
+    coefficient (raising ``TypeError`` otherwise), ``_scalars`` lists the
+    scalar types that arithmetic promotes to constants, ``_zero`` is the zero
+    coefficient, and ``_encode``/``_decode`` are the coefficient JSON codec.
+    Products and ``from_json`` live in each subclass body, because
+    ``bench/tracer.py`` wraps them from the subclass's own ``__dict__``.
     """
 
     __slots__ = ("terms",)
 
     def __init__(self, terms: Mapping = ()):
+        coerce = self._coerce
         items = terms.items() if isinstance(terms, Mapping) else terms
-        acc: dict[tuple[int, int], Quaternion] = {}
-        for key, value in items:
-            du, dv = key
+        acc: dict = {}
+        for (du, dv), value in items:
             if du < 0 or dv < 0:
                 raise InvalidInput("polynomial exponents must be nonnegative")
-            q = _coerce_quat(value)
-            if not q.is_zero:
-                prev = acc.get((du, dv))
-                q = q if prev is None else prev + q
-                if q.is_zero:
-                    acc.pop((du, dv), None)
+            c = coerce(value)
+            if c:
+                key = (du, dv)
+                prev = acc.get(key)
+                c = c if prev is None else prev + c
+                if c:
+                    acc[key] = c
                 else:
-                    acc[(du, dv)] = q
+                    acc.pop(key, None)
         self.terms = acc
 
     @classmethod
-    def zero(cls) -> "QPolyUV":
+    def _raw(cls, terms: dict):
+        """Wrap an already-normalized term dict without re-validation."""
+        poly = object.__new__(cls)
+        poly.terms = terms
+        return poly
+
+    @classmethod
+    def zero(cls):
         return cls()
 
     @classmethod
-    def one(cls) -> "QPolyUV":
-        return cls({(0, 0): _Q_ONE})
+    def one(cls):
+        return cls({(0, 0): 1})
 
     @classmethod
-    def const(cls, c) -> "QPolyUV":
-        return cls({(0, 0): _coerce_quat(c)})
+    def const(cls, c):
+        return cls({(0, 0): c})
 
     @classmethod
-    def var_u(cls) -> "QPolyUV":
-        return cls({(1, 0): _Q_ONE})
+    def var_u(cls):
+        return cls({(1, 0): 1})
 
     @classmethod
-    def var_v(cls) -> "QPolyUV":
-        return cls({(0, 1): _Q_ONE})
+    def var_v(cls):
+        return cls({(0, 1): 1})
 
     @classmethod
-    def monomial(cls, c, du: int, dv: int) -> "QPolyUV":
-        return cls({(du, dv): _coerce_quat(c)})
+    def monomial(cls, c, du: int, dv: int):
+        return cls({(du, dv): c})
 
     @property
     def is_zero(self) -> bool:
@@ -295,21 +314,11 @@ class QPolyUV:
     def deg_v(self):
         return max((dv for _, dv in self.terms), default=NEG_INF)
 
-    @property
-    def is_real(self) -> bool:
-        return all(q.is_real for q in self.terms.values())
-
-    def coeff(self, du: int, dv: int) -> Quaternion:
-        return self.terms.get((du, dv), _Q_ZERO)
-
-    def lead_coeff(self) -> Quaternion:
-        """Coefficient of the largest monomial in (deg_u, deg_v) lexicographic order."""
-        if not self.terms:
-            raise ValueError("the zero polynomial has no leading coefficient")
-        return self.terms[max(self.terms)]
+    def coeff(self, du: int, dv: int):
+        return self.terms.get((du, dv), self._zero)
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, QPolyUV):
+        if isinstance(other, type(self)):
             return self.terms == other.terms
         return NotImplemented
 
@@ -317,40 +326,86 @@ class QPolyUV:
         return hash(frozenset(self.terms.items()))
 
     def __repr__(self) -> str:
-        body = ", ".join(f"({du},{dv}): {q!r}" for (du, dv), q in sorted(self.terms.items()))
-        return f"QPolyUV({{{body}}})"
+        body = ", ".join(f"({du},{dv}): {c!r}" for (du, dv), c in sorted(self.terms.items()))
+        return f"{type(self).__name__}({{{body}}})"
 
     def __add__(self, other):
-        if isinstance(other, (Quaternion, int, Fraction)):
-            other = QPolyUV.const(other)
-        if not isinstance(other, QPolyUV):
+        if isinstance(other, self._scalars):
+            other = self.const(other)
+        if not isinstance(other, type(self)):
             return NotImplemented
         out = dict(self.terms)
-        for key, q in other.terms.items():
+        for key, c in other.terms.items():
             prev = out.get(key)
-            s = q if prev is None else prev + q
-            if s.is_zero:
-                out.pop(key, None)
-            else:
+            s = c if prev is None else prev + c
+            if s:
                 out[key] = s
-        return _qpuv_raw(out)
+            else:
+                out.pop(key, None)
+        return self._raw(out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return _qpuv_raw({k: -q for k, q in self.terms.items()})
+        return self._raw({k: -c for k, c in self.terms.items()})
 
     def __sub__(self, other):
-        if isinstance(other, (Quaternion, int, Fraction)):
-            other = QPolyUV.const(other)
-        if not isinstance(other, QPolyUV):
+        if isinstance(other, self._scalars):
+            other = self.const(other)
+        if not isinstance(other, type(self)):
             return NotImplemented
         return self.__add__(-other)
 
     def __rsub__(self, other):
-        if isinstance(other, (Quaternion, int, Fraction)):
-            return QPolyUV.const(other).__add__(-self)
-        return NotImplemented
+        return (-self).__add__(other)
+
+    def eval(self, u0, v0):
+        """Evaluate at a rational point."""
+        u0, v0 = Fraction(u0), Fraction(v0)
+        acc = self._zero
+        for (du, dv), c in self.terms.items():
+            acc = acc + c * (u0**du * v0**dv)
+        return acc
+
+    def to_json(self) -> list[dict]:
+        encode = self._encode
+        return [{"u": du, "v": dv, "c": encode(c)} for (du, dv), c in sorted(self.terms.items())]
+
+    @classmethod
+    def _from_monomials(cls, obj, what: str):
+        """Decode an array of ``{"u": du, "v": dv, "c": coefficient}`` monomials."""
+        if not isinstance(obj, list):
+            raise InvalidInput(f"{what} must be an array of monomials")
+        decode = cls._decode
+        terms = []
+        for entry in obj:
+            _json_object(entry, {"u", "v", "c"}, "each monomial needs integer 'u', 'v' and a coefficient 'c'")
+            du, dv = entry["u"], entry["v"]
+            if type(du) is not int or type(dv) is not int or du < 0 or dv < 0:
+                raise InvalidInput("monomial exponents must be nonnegative integers")
+            terms.append(((du, dv), decode(entry["c"])))
+        return cls(terms)
+
+
+class QPolyUV(_SparseUV):
+    """Sparse polynomial in u and v with quaternion coefficients."""
+
+    __slots__ = ()
+    _coerce = staticmethod(_coerce_quat)
+    _scalars = (Quaternion, int, Fraction)
+    _zero = _Q_ZERO
+    _encode = staticmethod(Quaternion.to_json)
+    _decode = staticmethod(Quaternion.from_json)
+
+    @property
+    def is_real(self) -> bool:
+        return all(q.is_real for q in self.terms.values())
+
+    def lead_coeff(self) -> Quaternion:
+        """Coefficient of the largest monomial in (deg_u, deg_v) lexicographic order."""
+        if not self.terms:
+            raise ValueError("the zero polynomial has no leading coefficient")
+        return self.terms[max(self.terms)]
 
     def __mul__(self, other):
         if isinstance(other, QPolyUV):
@@ -365,12 +420,12 @@ class QPolyUV:
                         out.pop(key, None)
                     else:
                         out[key] = s
-            return _qpuv_raw(out)
+            return QPolyUV._raw(out)
         if isinstance(other, (Quaternion, int, Fraction)):
             q = _coerce_quat(other)
             if q.is_zero:
                 return QPolyUV()
-            return _qpuv_raw({k: s for k, s in ((k, p * q) for k, p in self.terms.items()) if not s.is_zero})
+            return QPolyUV._raw({k: s for k, s in ((k, p * q) for k, p in self.terms.items()) if not s.is_zero})
         return NotImplemented
 
     def __rmul__(self, other):
@@ -378,27 +433,12 @@ class QPolyUV:
             q = _coerce_quat(other)
             if q.is_zero:
                 return QPolyUV()
-            return _qpuv_raw({k: s for k, s in ((k, q * p) for k, p in self.terms.items()) if not s.is_zero})
+            return QPolyUV._raw({k: s for k, s in ((k, q * p) for k, p in self.terms.items()) if not s.is_zero})
         return NotImplemented
 
     def conj(self) -> "QPolyUV":
         """Coefficientwise conjugation; reverses products, fixes real polynomials."""
-        return _qpuv_raw({k: q.conj() for k, q in self.terms.items()})
-
-    def eval(self, u0, v0) -> Quaternion:
-        u0, v0 = Fraction(u0), Fraction(v0)
-        acc = _Q_ZERO
-        upow: dict[int, Fraction] = {}
-        vpow: dict[int, Fraction] = {}
-        for (du, dv), q in self.terms.items():
-            pu = upow.get(du)
-            if pu is None:
-                pu = upow[du] = u0**du
-            pv = vpow.get(dv)
-            if pv is None:
-                pv = vpow[dv] = v0**dv
-            acc = acc + q * (pu * pv)
-        return acc
+        return QPolyUV._raw({k: q.conj() for k, q in self.terms.items()})
 
     def components(self) -> tuple["RPolyUV", "RPolyUV", "RPolyUV", "RPolyUV"]:
         """The four real component polynomials along 1, i, j, k."""
@@ -407,7 +447,7 @@ class QPolyUV:
             for target, c in zip(parts, q.components()):
                 if c:
                     target[key] = c
-        return tuple(_rpuv_raw(p) for p in parts)  # type: ignore[return-value]
+        return tuple(RPolyUV._raw(p) for p in parts)  # type: ignore[return-value]
 
     def to_u_poly(self) -> QPolyU:
         """Forget v.  Lossless exactly when ``deg_v <= 0``.
@@ -425,32 +465,9 @@ class QPolyUV:
             out[du] = q
         return QPolyU(out)
 
-    def to_json(self) -> list[dict]:
-        return [
-            {"u": du, "v": dv, "c": q.to_json()}
-            for (du, dv), q in sorted(self.terms.items())
-        ]
-
     @classmethod
     def from_json(cls, obj) -> "QPolyUV":
-        if not isinstance(obj, list):
-            raise InvalidInput("a quaternion polynomial must be an array of monomials")
-        terms = []
-        for entry in obj:
-            if not isinstance(entry, dict) or not {"u", "v", "c"} <= entry.keys():
-                raise InvalidInput("each monomial needs integer 'u', 'v' and a coefficient 'c'")
-            du, dv = entry["u"], entry["v"]
-            if type(du) is not int or type(dv) is not int or du < 0 or dv < 0:
-                raise InvalidInput("monomial exponents must be nonnegative integers")
-            terms.append(((du, dv), Quaternion.from_json(entry["c"])))
-        return cls(terms)
-
-
-def _qpuv_raw(terms: dict[tuple[int, int], Quaternion]) -> QPolyUV:
-    """Wrap an already-normalized term dict without re-validation."""
-    poly = QPolyUV.__new__(QPolyUV)
-    poly.terms = terms
-    return poly
+        return cls._from_monomials(obj, "a quaternion polynomial")
 
 
 def v_slices(p: QPolyUV) -> tuple[QPolyU, QPolyU]:
@@ -488,116 +505,19 @@ def v_slices(p: QPolyUV) -> tuple[QPolyU, QPolyU]:
 # region real bivariate
 
 
-class RPolyUV:
+class RPolyUV(_SparseUV):
     """Sparse bivariate polynomial with rational coefficients.
 
     Real polynomials commute with everything in sight, which is what makes
     the Hermitian 6-tuple identities purely computational.
     """
 
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: Mapping = ()):
-        items = terms.items() if isinstance(terms, Mapping) else terms
-        acc: dict[tuple[int, int], Fraction] = {}
-        for key, value in items:
-            du, dv = key
-            if du < 0 or dv < 0:
-                raise InvalidInput("polynomial exponents must be nonnegative")
-            c = Fraction(value)
-            if c:
-                prev = acc.get((du, dv))
-                c = c if prev is None else prev + c
-                if c:
-                    acc[(du, dv)] = c
-                else:
-                    acc.pop((du, dv), None)
-        self.terms = acc
-
-    @classmethod
-    def zero(cls) -> "RPolyUV":
-        return cls()
-
-    @classmethod
-    def one(cls) -> "RPolyUV":
-        return cls({(0, 0): 1})
-
-    @classmethod
-    def const(cls, c) -> "RPolyUV":
-        return cls({(0, 0): Fraction(c)})
-
-    @classmethod
-    def var_u(cls) -> "RPolyUV":
-        return cls({(1, 0): 1})
-
-    @classmethod
-    def var_v(cls) -> "RPolyUV":
-        return cls({(0, 1): 1})
-
-    @classmethod
-    def monomial(cls, c, du: int, dv: int) -> "RPolyUV":
-        return cls({(du, dv): Fraction(c)})
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    @property
-    def deg_u(self):
-        return max((du for du, _ in self.terms), default=NEG_INF)
-
-    @property
-    def deg_v(self):
-        return max((dv for _, dv in self.terms), default=NEG_INF)
-
-    def coeff(self, du: int, dv: int) -> Fraction:
-        return self.terms.get((du, dv), _ZERO_FR)
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, RPolyUV):
-            return self.terms == other.terms
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(frozenset(self.terms.items()))
-
-    def __repr__(self) -> str:
-        body = ", ".join(
-            f"({du},{dv}): {rational_to_str(c)}" for (du, dv), c in sorted(self.terms.items())
-        )
-        return f"RPolyUV({{{body}}})"
-
-    def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = RPolyUV.const(other)
-        if not isinstance(other, RPolyUV):
-            return NotImplemented
-        out = dict(self.terms)
-        for key, c in other.terms.items():
-            s = out.get(key, _ZERO_FR) + c
-            if s:
-                out[key] = s
-            else:
-                out.pop(key, None)
-        return _rpuv_raw(out)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return _rpuv_raw({k: -c for k, c in self.terms.items()})
-
-    def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = RPolyUV.const(other)
-        if not isinstance(other, RPolyUV):
-            return NotImplemented
-        return self.__add__(-other)
-
-    def __rsub__(self, other):
-        return (-self).__add__(other)
+    __slots__ = ()
+    _coerce = staticmethod(_coerce_rational)
+    _scalars = (int, Fraction)
+    _zero = _ZERO_FR
+    _encode = staticmethod(rational_to_str)
+    _decode = staticmethod(rational_from_str)
 
     def __mul__(self, other):
         if isinstance(other, RPolyUV):
@@ -610,56 +530,27 @@ class RPolyUV:
                         out[key] = s
                     else:
                         out.pop(key, None)
-            return _rpuv_raw(out)
+            return RPolyUV._raw(out)
         if isinstance(other, (int, Fraction)):
             c = Fraction(other)
             if not c:
                 return RPolyUV()
-            return _rpuv_raw({k: p * c for k, p in self.terms.items()})
+            return RPolyUV._raw({k: p * c for k, p in self.terms.items()})
         return NotImplemented
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         c = Fraction(other)
-        return _rpuv_raw({k: p / c for k, p in self.terms.items()})
-
-    def eval(self, u0, v0) -> Fraction:
-        u0, v0 = Fraction(u0), Fraction(v0)
-        return sum((c * u0**du * v0**dv for (du, dv), c in self.terms.items()), _ZERO_FR)
+        return RPolyUV._raw({k: p / c for k, p in self.terms.items()})
 
     def to_quat(self) -> QPolyUV:
         """Embed as a quaternionic polynomial with real coefficients."""
-        return _qpuv_raw({k: Quaternion(c) for k, c in self.terms.items()})
-
-    def to_json(self) -> list[dict]:
-        return [
-            {"u": du, "v": dv, "c": rational_to_str(c)}
-            for (du, dv), c in sorted(self.terms.items())
-        ]
+        return QPolyUV._raw({k: Quaternion(c) for k, c in self.terms.items()})
 
     @classmethod
     def from_json(cls, obj) -> "RPolyUV":
-        if not isinstance(obj, list):
-            raise InvalidInput("a real polynomial must be an array of monomials")
-        terms = []
-        for entry in obj:
-            if not isinstance(entry, dict) or not {"u", "v", "c"} <= entry.keys():
-                raise InvalidInput("each monomial needs integer 'u', 'v' and a coefficient 'c'")
-            du, dv = entry["u"], entry["v"]
-            if type(du) is not int or type(dv) is not int or du < 0 or dv < 0:
-                raise InvalidInput("monomial exponents must be nonnegative integers")
-            terms.append(((du, dv), rational_from_str(entry["c"])))
-        return cls(terms)
-
-
-_ZERO_FR = Fraction(0)
-
-
-def _rpuv_raw(terms: dict[tuple[int, int], Fraction]) -> RPolyUV:
-    poly = RPolyUV.__new__(RPolyUV)
-    poly.terms = terms
-    return poly
+        return cls._from_monomials(obj, "a real polynomial")
 
 
 def quat_poly(w: RPolyUV, x: RPolyUV, y: RPolyUV, z: RPolyUV) -> QPolyUV:
@@ -671,7 +562,7 @@ def quat_poly(w: RPolyUV, x: RPolyUV, y: RPolyUV, z: RPolyUV) -> QPolyUV:
             if slot is None:
                 slot = acc[key] = [_ZERO_FR, _ZERO_FR, _ZERO_FR, _ZERO_FR]
             slot[idx] = c
-    return _qpuv_raw({k: Quaternion(*cs) for k, cs in acc.items()})
+    return QPolyUV._raw({k: Quaternion(*cs) for k, cs in acc.items()})
 
 
 # endregion

@@ -40,12 +40,37 @@ def rational_from_str(text: str) -> Fraction:
         raise InvalidInput(f"bad rational literal {text!r}") from exc
 
 
+def _json_array(obj, size: int, message: str) -> list:
+    """Return ``obj`` if it is a JSON array of ``size`` entries, else raise InvalidInput."""
+    if not isinstance(obj, list) or len(obj) != size:
+        raise InvalidInput(message)
+    return obj
+
+
+def _json_object(obj, keys, message: str) -> dict:
+    """Return ``obj`` if it is a JSON object holding every key in ``keys``, else raise InvalidInput."""
+    if not isinstance(obj, dict) or not keys <= obj.keys():
+        raise InvalidInput(message)
+    return obj
+
+
+def _rationals_from_json(obj, size: int, message: str) -> tuple[Fraction, ...]:
+    """Parse a JSON array of exactly ``size`` rational literal strings.
+
+    Raises:
+        InvalidInput: with ``message`` if ``obj`` is not such an array, or for
+            a malformed literal.
+    """
+    return tuple(rational_from_str(c) for c in _json_array(obj, size, message))
+
+
 def _coerce(value) -> Fraction:
+    """An int or Fraction as a Fraction; anything else, floats included, is a TypeError."""
     if type(value) is Fraction:
         return value
     if isinstance(value, (int, Fraction)):
         return Fraction(value)
-    raise TypeError(f"quaternion components must be rational, got {type(value).__name__}")
+    raise TypeError(f"expected a rational number, got {type(value).__name__}")
 
 
 class Quaternion:
@@ -202,9 +227,7 @@ class Quaternion:
 
     @classmethod
     def from_json(cls, obj) -> "Quaternion":
-        if not isinstance(obj, (list, tuple)) or len(obj) != 4:
-            raise InvalidInput("a quaternion must be a 4-element array of rational strings")
-        return cls(*(rational_from_str(c) for c in obj))
+        return cls(*_rationals_from_json(obj, 4, "a quaternion must be a 4-element array of rational strings"))
 
     # endregion
 

@@ -27,6 +27,7 @@ from dataclasses import dataclass
 from .errors import NoProgress, NotDegenerate, PreconditionDegree
 from .qmat import Mat2, Vec2, col_op, conj_transpose, is_degenerate, kron, swap_cols, swap_rows
 from .qpoly import QPolyU, QPolyUV, left_div_rem, v_slices
+from .quat import _json_object
 
 
 @dataclass(frozen=True)
@@ -41,10 +42,7 @@ class SplitCertificate:
 
     @classmethod
     def from_json(cls, obj) -> "SplitCertificate":
-        from .errors import InvalidInput
-
-        if not isinstance(obj, dict) or "x" not in obj or "y" not in obj:
-            raise InvalidInput("a certificate must be an object with 'x' and 'y' vectors")
+        _json_object(obj, {"x", "y"}, "a certificate must be an object with 'x' and 'y' vectors")
         return cls(Vec2.from_json(obj["x"]), Vec2.from_json(obj["y"]))
 
 
@@ -118,10 +116,6 @@ def _measure(slopes) -> tuple[int, int]:
     return (len(degrees), min(degrees))
 
 
-def _lift(p: QPolyU) -> QPolyUV:
-    return p.to_uv()
-
-
 def _factor_with_zero(m: Mat2) -> tuple[list, tuple[QPolyUV, QPolyUV], tuple[QPolyUV, QPolyUV]]:
     """Factor a matrix that has at least one zero entry.
 
@@ -162,7 +156,7 @@ def _case_v_free(cur: Mat2) -> list:
     q, _ = left_div_rem(t.m21.to_u_poly(), t.m22.to_u_poly())
     if not q:
         raise NoProgress("v-free division step produced a zero quotient")
-    moves.append((_CO, _lift(q)))
+    moves.append((_CO, q.to_uv()))
     return moves
 
 
@@ -209,7 +203,7 @@ def _case_v_bound(cur: Mat2) -> list:
         new_s11 = slopes[0] - slopes[1] * q
         next_measure = _measure((new_s11, slopes[1], r, slopes[3]))
         if next_measure < cur_measure:
-            return [(op,) for op in sym] + [(_CO, _lift(q))]
+            return [(op,) for op in sym] + [(_CO, q.to_uv())]
     raise NoProgress("no symmetry and division step shrinks the v-dependence measure")
 
 

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import ClassVar
 
 from .errors import (
     DegenerateFamily,
@@ -30,14 +31,14 @@ from .errors import (
     TooFewPoints,
     UnsupportedFamily,
 )
-from .quat import Quaternion, rational_from_str, rational_to_str
+from .quat import Quaternion, _coerce, _json_array, _json_object, _rationals_from_json, rational_to_str
 
 Point3 = tuple[Fraction, Fraction, Fraction]
 Point4 = tuple[Fraction, Fraction, Fraction, Fraction]
 
 
 def _vec(values, size: int) -> tuple[Fraction, ...]:
-    out = tuple(Fraction(c) for c in values)
+    out = tuple(_coerce(c) for c in values)
     if len(out) != size:
         raise InvalidInput(f"expected a {size}-vector")
     return out
@@ -64,54 +65,63 @@ def _weights(t: Fraction) -> tuple[Fraction, Fraction]:
 
 
 @dataclass(frozen=True)
-class Circle3:
-    """A circle in 3-space with a rational Weierstrass parametrization.
+class _Circle:
+    """A circle in ``dim``-space with a rational Weierstrass parametrization.
 
     The frame vectors must be orthogonal and of equal positive length; that
     length is the radius.  The parametrization covers the whole circle except
     the single point at t = infinity, reachable as ``point_at_infinity()``.
     """
 
-    center: Point3
-    e1: Point3
-    e2: Point3
+    center: tuple[Fraction, ...]
+    e1: tuple[Fraction, ...]
+    e2: tuple[Fraction, ...]
+
+    dim: ClassVar[int]
 
     def __post_init__(self):
-        object.__setattr__(self, "center", _vec(self.center, 3))
-        object.__setattr__(self, "e1", _vec(self.e1, 3))
-        object.__setattr__(self, "e2", _vec(self.e2, 3))
-        _check_frame(self.e1, self.e2)
+        for name in ("center", "e1", "e2"):
+            object.__setattr__(self, name, _vec(getattr(self, name), self.dim))
+        if _dot(self.e1, self.e2):
+            raise InvalidInput("frame vectors must be orthogonal")
+        n1 = _dot(self.e1, self.e1)
+        if n1 != _dot(self.e2, self.e2):
+            raise InvalidInput("frame vectors must have equal length")
+        if not n1:
+            raise InvalidInput("frame vectors must be nonzero")
 
     @property
     def radius_sq(self) -> Fraction:
         return _dot(self.e1, self.e1)
 
-    def point(self, t) -> Point3:
+    def point(self, t) -> tuple[Fraction, ...]:
         c, s = _weights(Fraction(t))
         return _add(self.center, _add(_scale(self.e1, c), _scale(self.e2, s)))
 
-    def point_at_infinity(self) -> Point3:
+    def point_at_infinity(self) -> tuple[Fraction, ...]:
         return _add(self.center, _scale(self.e1, Fraction(-1)))
 
     def to_json(self) -> dict:
-        return {
-            "center": [rational_to_str(c) for c in self.center],
-            "e1": [rational_to_str(c) for c in self.e1],
-            "e2": [rational_to_str(c) for c in self.e2],
-        }
+        return {name: [rational_to_str(c) for c in getattr(self, name)] for name in ("center", "e1", "e2")}
 
     @classmethod
-    def from_json(cls, obj) -> "Circle3":
-        _require_circle_doc(obj)
-        return cls(
-            tuple(rational_from_str(c) for c in obj["center"]),
-            tuple(rational_from_str(c) for c in obj["e1"]),
-            tuple(rational_from_str(c) for c in obj["e2"]),
-        )
+    def from_json(cls, obj) -> "_Circle":
+        _json_object(obj, {"center", "e1", "e2"}, "a circle needs 'center', 'e1' and 'e2' vectors")
+        return cls(*(
+            _rationals_from_json(
+                obj[name], cls.dim, f"circle vector {name!r} must be a {cls.dim}-element array of rational strings"
+            )
+            for name in ("center", "e1", "e2")
+        ))
 
 
-@dataclass(frozen=True)
-class CircleS3:
+class Circle3(_Circle):
+    """A circle in 3-space with a rational Weierstrass parametrization."""
+
+    dim = 3
+
+
+class CircleS3(_Circle):
     """A circle lying on the unit 3-sphere in 4-space.
 
     Beyond the orthogonal equal-length frame, the center must be orthogonal
@@ -119,61 +129,14 @@ class CircleS3:
     exactly the condition for every parametrized point to have norm 1.
     """
 
-    center: Point4
-    e1: Point4
-    e2: Point4
+    dim = 4
 
     def __post_init__(self):
-        object.__setattr__(self, "center", _vec(self.center, 4))
-        object.__setattr__(self, "e1", _vec(self.e1, 4))
-        object.__setattr__(self, "e2", _vec(self.e2, 4))
-        _check_frame(self.e1, self.e2)
+        super().__post_init__()
         if _dot(self.center, self.e1) or _dot(self.center, self.e2):
             raise InvalidInput("circle center must be orthogonal to the frame vectors")
-        if _dot(self.center, self.center) + _dot(self.e1, self.e1) != 1:
+        if _dot(self.center, self.center) + self.radius_sq != 1:
             raise InvalidInput("circle does not lie on the unit sphere")
-
-    @property
-    def radius_sq(self) -> Fraction:
-        return _dot(self.e1, self.e1)
-
-    def point(self, t) -> Point4:
-        c, s = _weights(Fraction(t))
-        return _add(self.center, _add(_scale(self.e1, c), _scale(self.e2, s)))
-
-    def point_at_infinity(self) -> Point4:
-        return _add(self.center, _scale(self.e1, Fraction(-1)))
-
-    def to_json(self) -> dict:
-        return {
-            "center": [rational_to_str(c) for c in self.center],
-            "e1": [rational_to_str(c) for c in self.e1],
-            "e2": [rational_to_str(c) for c in self.e2],
-        }
-
-    @classmethod
-    def from_json(cls, obj) -> "CircleS3":
-        _require_circle_doc(obj)
-        return cls(
-            tuple(rational_from_str(c) for c in obj["center"]),
-            tuple(rational_from_str(c) for c in obj["e1"]),
-            tuple(rational_from_str(c) for c in obj["e2"]),
-        )
-
-
-def _check_frame(e1, e2) -> None:
-    if _dot(e1, e2):
-        raise InvalidInput("frame vectors must be orthogonal")
-    n1 = _dot(e1, e1)
-    if n1 != _dot(e2, e2):
-        raise InvalidInput("frame vectors must have equal length")
-    if not n1:
-        raise InvalidInput("frame vectors must be nonzero")
-
-
-def _require_circle_doc(obj) -> None:
-    if not isinstance(obj, dict) or not {"center", "e1", "e2"} <= obj.keys():
-        raise InvalidInput("a circle needs 'center', 'e1' and 'e2' vectors")
 
 
 # endregion
@@ -234,9 +197,9 @@ class Quadric4:
 
     @classmethod
     def from_json(cls, obj) -> "Quadric4":
-        if not isinstance(obj, dict) or "q" not in obj or not isinstance(obj["q"], list):
-            raise InvalidInput("a quadric needs a 'q' matrix of rational strings")
-        return cls(tuple(tuple(rational_from_str(c) for c in row) for row in obj["q"]))
+        message = "a quadric needs a 'q' matrix of 5 rows of 5 rational strings"
+        rows = _json_array(_json_object(obj, {"q"}, message)["q"], 5, message)
+        return cls(tuple(_rationals_from_json(row, 5, message) for row in rows))
 
 
 # Quartic polynomials in (x, y, z, w) as exponent-tuple -> coefficient maps.
@@ -367,9 +330,7 @@ class SurfaceSpec:
 
     @classmethod
     def from_json(cls, obj) -> "SurfaceSpec":
-        if not isinstance(obj, dict) or "family" not in obj:
-            raise InvalidInput("a surface needs a 'family' tag")
-        family = obj["family"]
+        family = _json_object(obj, {"family"}, "a surface needs a 'family' tag")["family"]
         if family == "e":
             return cls.family_e(Circle3.from_json(obj.get("alpha")), Circle3.from_json(obj.get("beta")))
         if family == "c":

@@ -1,10 +1,16 @@
 """End-to-end runs of the command-line interface through ``main``."""
 
+import contextlib
+import io
 import json
+import os
 import subprocess
 import sys
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quatsurf import (
     CircleS3,
@@ -22,7 +28,7 @@ from quatsurf import (
 from quatsurf.cli import main
 from quatsurf.quat import I, Quaternion
 
-from helpers import rand_circle3, rand_circle_s3
+from helpers import rand_circle3, rand_circle_s3, rand_qpolyuv, rand_rpolyuv, rand_vec2
 
 import random
 
@@ -213,10 +219,34 @@ def test_missing_file_is_clean_error(capsys):
 
 def test_malformed_json_is_clean_error(tmp_path, capsys):
     path = tmp_path / "broken.json"
-    path.write_text("{not json", encoding="utf-8")
-    rc, _, err = run(capsys, "degenerate", "--in", str(path))
-    assert rc == 1
+    # Not JSON; not UTF-8; an integer literal over the interpreter's digit limit.
+    for content in (b"{not json", b"\xff\xfe[", b"[" + b"1" * 5000 + b"]"):
+        path.write_bytes(content)
+        rc, _, err = run(capsys, "degenerate", "--in", str(path))
+        assert rc == 1
+        assert json.loads(err)["error"] == "InvalidInput"
+
+
+CIRCLE_DOC = {"center": ["0", "0", "0"], "e1": ["1", "0", "0"], "e2": ["0", "1", "0"]}
+
+
+@pytest.mark.parametrize(
+    "family, doc",
+    [
+        ("e", {"family": "e", "alpha": dict(CIRCLE_DOC, center="000"), "beta": CIRCLE_DOC}),
+        ("d", {"family": "d", "quadric": {"q": ["20000", "00000", "00000", "00000", "00000"]}}),
+        ("e", {"family": "e", "alpha": dict(CIRCLE_DOC, center=5), "beta": CIRCLE_DOC}),
+        ("d", {"family": "d", "quadric": {"q": [1, 2, 3, 4, 5]}}),
+    ],
+    ids=["string-vector", "string-rows", "integer-vector", "integer-rows"],
+)
+def test_malformed_surface_is_clean_error(tmp_path, capsys, family, doc):
+    # A string must not be read one character at a time, nor a number raise TypeError.
+    path = write_json(tmp_path / "s.json", doc)
+    rc, out, err = run(capsys, "gen-surface", "--family", family, "--spec", path)
+    assert rc == 1 and out == ""
     assert json.loads(err)["error"] == "InvalidInput"
+    assert len(err.splitlines()) == 1
 
 
 def test_wrong_shape_is_clean_error(tmp_path, capsys):
@@ -250,6 +280,16 @@ def test_too_few_samples_is_usage_error(e_spec_file, capsys):
     assert rc == 2 and out == ""
     rc, out, _ = run(capsys, "check-circles", "--family", "e", "--spec", e_spec_file, "--samples", "5")
     assert rc == 0 and json.loads(out)["all_pass"] is True
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("gen-surface", "--family", "e", "--grid", "1"), ("check-circles", "--family", "e", "--curves", "0")],
+    ids=["grid", "curves"],
+)
+def test_grid_and_curve_counts_are_usage_errors(e_spec_file, capsys, argv):
+    rc, out, _ = run(capsys, *argv, "--spec", e_spec_file)
+    assert rc == 2 and out == ""
 
 
 def test_deeply_nested_json_is_clean_error(tmp_path, capsys):
@@ -299,3 +339,80 @@ def test_module_entry_point(tmp_path):
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout) == {"degenerate": False}
+
+
+# Arbitrary small JSON documents for every subcommand: a valid document of
+# the kind the subcommand reads, in one run of three with one node (the
+# root included) swapped for a random tree.  Integers stay small, because
+# degree and term-count limits are still open.
+_TREES = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 3) | st.just(0.5)
+    | st.sampled_from(["0", "1", "-1/2", "1/0", "x", "", "000", "e", "c", "d"]),
+    lambda children: st.lists(children, max_size=6) | st.dictionaries(
+        st.sampled_from(["u", "v", "c", "x", "y", "family", "alpha", "beta", "quadric", "q", "center", "e1", "e2"]),
+        children,
+        max_size=4,
+    ),
+    max_leaves=20,
+)
+
+
+def _seeded(build):
+    return st.integers(0, 2**16).map(lambda seed: build(random.Random(seed)))
+
+
+def _quadric_doc(rng):
+    q = [[rng.randint(-2, 2) for _ in range(5)] for _ in range(5)]
+    return {"family": "d", "quadric": {"q": [[str(q[min(i, j)][max(i, j)]) for j in range(5)] for i in range(5)]}}
+
+
+_MATRICES = _seeded(lambda r: kron(rand_vec2(r, max_dv=0), rand_vec2(r)).to_json()) | _seeded(
+    lambda r: Mat2(*(rand_qpolyuv(r) for _ in range(4))).to_json()
+)
+_TUPLES = _seeded(lambda r: tuple_from_pair(rand_qpolyuv(r), rand_qpolyuv(r)).to_json()) | _seeded(
+    lambda r: [rand_rpolyuv(r).to_json() for _ in range(6)]
+)
+_E_SURFACES = _seeded(lambda r: SurfaceSpec.family_e(rand_circle3(r), rand_circle3(r)).to_json())
+_C_SURFACES = _seeded(lambda r: SurfaceSpec.family_c(rand_circle_s3(r), rand_circle_s3(r)).to_json())
+_COMMANDS = [
+    (("split", "--in", "{}"), _MATRICES),
+    (("split", "--in", "{}", "--normalize"), _MATRICES),
+    (("degenerate", "--in", "{}"), _MATRICES),
+    (("verify-tuple", "--in", "{}"), _TUPLES),
+    (("tuple-from-pair", "--a", "{}", "--b", "{}"), _seeded(lambda r: rand_qpolyuv(r).to_json())),
+    (("gen-surface", "--family", "e", "--spec", "{}", "--grid", "3"), _E_SURFACES),
+    (("gen-surface", "--family", "c", "--spec", "{}", "--grid", "3", "--format", "obj"), _C_SURFACES),
+    (("gen-surface", "--family", "d", "--spec", "{}"), _seeded(_quadric_doc)),
+    (("check-circles", "--family", "e", "--spec", "{}", "--curves", "1"), _E_SURFACES),
+    (("check-circles", "--family", "c", "--spec", "{}", "--curves", "1"), _C_SURFACES),
+]
+
+
+def _slots(node):
+    """Every (container, key) position inside a JSON tree."""
+    children = enumerate(node) if isinstance(node, list) else node.items() if isinstance(node, dict) else ()
+    for key, child in list(children):
+        yield node, key
+        yield from _slots(child)
+
+
+@settings(max_examples=300)
+@given(st.data())
+def test_any_json_document_ends_cleanly(data):
+    argv, documents = data.draw(st.sampled_from(_COMMANDS))
+    holder = [data.draw(documents)]
+    if data.draw(st.integers(0, 2)) == 0:
+        container, key = data.draw(st.sampled_from(list(_slots(holder))))
+        container[key] = data.draw(_TREES)
+    doc = holder[0]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "doc.json")
+        with open(path, "w", encoding="utf-8") as handle:
+            json.dump(doc, handle)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = main([path if arg == "{}" else arg for arg in argv])
+    assert rc in (0, 1, 2)
+    if rc == 1:
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and "error" in json.loads(lines[0])

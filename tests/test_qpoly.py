@@ -285,6 +285,18 @@ def test_rpolyuv_arithmetic():
     assert p.to_quat().components()[0] == p
 
 
+
+@pytest.mark.parametrize(
+    "build",
+    [lambda: RPolyUV({(0, 0): 0.5}), lambda: RPolyUV.const(0.1), lambda: RPolyUV.monomial(0.5, 1, 0)],
+    ids=["init", "const", "monomial"],
+)
+def test_rpolyuv_rejects_floats(build):
+    # A float is not exact: 0.1 would be stored as 3602879701896397/36028797018963968.
+    with pytest.raises(TypeError):
+        build()
+
+
 # endregion
 
 # region serialization

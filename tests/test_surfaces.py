@@ -127,6 +127,14 @@ def test_circle_s3_points_have_unit_norm():
         assert sum(c * c for c in circle.point_at_infinity()) == 1
 
 
+
+def test_circles_reject_float_coordinates():
+    with pytest.raises(TypeError):
+        Circle3((0.5, 0, 0), (1, 0, 0), (0, 1, 0))
+    with pytest.raises(TypeError):
+        CircleS3((0, 0, 0, 0), (1.0, 0, 0, 0), (0, 1, 0, 0))
+
+
 # endregion
 
 # region surface evaluation
@@ -194,6 +202,13 @@ def test_quadric_validation():
     with pytest.raises(InvalidInput):
         Quadric4(tuple(tuple(r) for r in rows))
 
+
+
+def test_quadric_rejects_float_entries():
+    rows = [list(row) for row in TORUS_QUADRIC.q]
+    rows[1][1] = -4.0
+    with pytest.raises(TypeError):
+        Quadric4(tuple(tuple(r) for r in rows))
 
 def test_quadric_rejects_sphere_multiples():
     for scale in (1, -2, Fraction(1, 3)):
@@ -343,6 +358,12 @@ def test_circle_recognition_too_few_points():
     with pytest.raises(TooFewPoints):
         is_circle_or_line([(0, 0, 0), (1, 0, 0), (2, 0, 0), (3, 0, 0), (0, 0, 0)])
 
+
+
+def test_circle_recognition_rejects_float_points():
+    # 0.6 and 0.8 are not 3/5 and 4/5 in binary, so a float answer would be wrong.
+    with pytest.raises(TypeError):
+        is_circle_or_line([(1, 0, 0), (0, 1, 0), (-1, 0, 0), (0, -1, 0), (0.6, 0.8, 0)])
 
 def test_circle_recognition_sampled_subsets():
     dense = [XY_CIRCLE.point(Fraction(k, 7)) for k in range(60)]

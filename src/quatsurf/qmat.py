@@ -10,15 +10,17 @@ at most 1.  The quotient ring is a division ring and u, v are central, so with
 read off from ``(c, d) = (c * a^-1) * (a, b)`` with ``a^-1 = conj(a) / N(a)``
 (the Dieudonne/Study view of the quaternionic determinant).  With ``a = 0``
 the matrix is degenerate iff ``b = 0`` or ``c = 0``.  Deciding it needs one
-exact polynomial identity and nothing beyond integer arithmetic.
+exact polynomial identity, evaluated in the integer kernel of
+:mod:`quatsurf.qpoly` (integer numerators over per-coefficient
+denominators); rows are not scaled, and this module does no polynomial
+arithmetic of its own.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import lcm
 
-from .qpoly import QPolyUV
+from .qpoly import QPolyUV, _int_equal, _int_mul, _int_terms
 from .quat import _json_array
 
 # region types
@@ -108,54 +110,6 @@ def conj_transpose(m: Mat2) -> Mat2:
 
 # region degeneracy
 
-# Integer polynomials: dicts from exponent pairs (du, dv) to quaternion
-# components (w, x, y, z).  Raw integers spare the Fraction normalization that
-# every coefficient product of QPolyUV pays.
-_IntPoly = dict[tuple[int, int], tuple[int, int, int, int]]
-
-
-def _int_row(row: tuple[QPolyUV, QPolyUV]) -> list[_IntPoly]:
-    """The row's entries as integer polynomials, scaled by the lcm of its denominators."""
-    scale = 1
-    for poly in row:
-        for q in poly.terms.values():
-            scale = lcm(scale, q.w.denominator, q.x.denominator, q.y.denominator, q.z.denominator)
-    return [
-        {
-            key: tuple(c.numerator * (scale // c.denominator) for c in (q.w, q.x, q.y, q.z))
-            for key, q in poly.terms.items()
-        }
-        for poly in row
-    ]
-
-
-def _int_mul(p: _IntPoly, q: _IntPoly) -> _IntPoly:
-    """Product of two integer quaternion polynomials, with p on the left."""
-    out: _IntPoly = {}
-    get = out.get
-    for (u1, v1), (a0, a1, a2, a3) in p.items():
-        for (u2, v2), (b0, b1, b2, b3) in q.items():
-            key = (u1 + u2, v1 + v2)
-            w = a0 * b0 - a1 * b1 - a2 * b2 - a3 * b3
-            x = a0 * b1 + a1 * b0 + a2 * b3 - a3 * b2
-            y = a0 * b2 - a1 * b3 + a2 * b0 + a3 * b1
-            z = a0 * b3 + a1 * b2 - a2 * b1 + a3 * b0
-            cur = get(key)
-            if cur is None:
-                out[key] = (w, x, y, z)
-            else:
-                out[key] = (cur[0] + w, cur[1] + x, cur[2] + y, cur[3] + z)
-    return out
-
-
-def _int_conj(p: _IntPoly) -> _IntPoly:
-    return {key: (w, -x, -y, -z) for key, (w, x, y, z) in p.items()}
-
-
-def _int_equal(p: _IntPoly, q: _IntPoly) -> bool:
-    zero = (0, 0, 0, 0)
-    return all(p.get(key, zero) == q.get(key, zero) for key in p.keys() | q.keys())
-
 
 def is_degenerate(m: Mat2) -> bool:
     """Whether the rows are left-linearly dependent (rank at most 1).
@@ -164,15 +118,14 @@ def is_degenerate(m: Mat2) -> bool:
     when ``b = 0`` or ``c = 0``.  Otherwise the second row must be
     ``c * a^-1`` times the first, which leaves the single condition
     ``c * conj(a) * b == N(a) * d`` with the central norm ``N(a) = a * conj(a)``.
-    Each row is first scaled by the lcm of its denominators, a positive
-    central integer under which the identity is homogeneous, so the check
-    runs on integer coefficients.  Exact, no floating point.
+    Both sides are built and compared in the integer kernel of
+    :mod:`quatsurf.qpoly`, where each coefficient carries its own
+    denominator, so no row is scaled.  Exact, no floating point.
     """
     if m.m11.is_zero:
         return m.m12.is_zero or m.m21.is_zero
-    a, b = _int_row((m.m11, m.m12))
-    c, d = _int_row((m.m21, m.m22))
-    a_conj = _int_conj(a)
+    a, b, c, d = (_int_terms(e) for e in m.entries())
+    a_conj = _int_terms(m.m11.conj())
     return _int_equal(_int_mul(_int_mul(c, a_conj), b), _int_mul(_int_mul(a, a_conj), d))
 
 

@@ -13,6 +13,12 @@ The two sparse classes share one core, ``_SparseUV``: term normalization,
 addition, evaluation and the JSON codec; each adds only its products and
 conversions.
 
+Every product of quaternion polynomials, scalar and univariate ones
+included, runs in one private integer kernel (``_int_terms``, ``_int_mul``,
+``_int_equal``, also used by :mod:`quatsurf.qmat`): each coefficient is four
+integers over the lcm of its own denominators, products accumulate integers
+per exponent pair, and each output component is normalized to a Fraction once.
+
 Because the coefficient ring has no zero divisors and the variables are
 central, nonzero polynomials multiply to nonzero polynomials and degrees add
 per variable.  The zero polynomial has degree ``NEG_INF``, which compares
@@ -22,6 +28,7 @@ strictly below every integer.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Mapping
 
 from .errors import DegreeTooHigh, InvalidInput
@@ -144,25 +151,15 @@ class QPolyU:
         return NotImplemented
 
     def __mul__(self, other):
-        if isinstance(other, QPolyU):
-            if not self.coeffs or not other.coeffs:
-                return QPolyU()
-            out = [_Q_ZERO] * (len(self.coeffs) + len(other.coeffs) - 1)
-            for i, a in enumerate(self.coeffs):
-                if a.is_zero:
-                    continue
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] = out[i + j] + a * b
-            return QPolyU(out)
         if isinstance(other, (Quaternion, int, Fraction)):
-            q = _coerce_quat(other)
-            return QPolyU(tuple(c * q for c in self.coeffs))
-        return NotImplemented
+            other = QPolyU.const(other)
+        if not isinstance(other, QPolyU):
+            return NotImplemented
+        return _product(self.to_uv(), other.to_uv()).to_u_poly()
 
     def __rmul__(self, other):
         if isinstance(other, (Quaternion, int, Fraction)):
-            q = _coerce_quat(other)
-            return QPolyU(tuple(q * c for c in self.coeffs))
+            return _product(QPolyUV.const(other), self.to_uv()).to_u_poly()
         return NotImplemented
 
     def conj(self) -> "QPolyU":
@@ -170,7 +167,7 @@ class QPolyU:
 
     def eval(self, u0) -> Quaternion:
         """Evaluate at a rational point by Horner's rule."""
-        u0 = Fraction(u0)
+        u0 = _coerce_rational(u0)
         acc = _Q_ZERO
         for c in reversed(self.coeffs):
             acc = acc * u0 + c
@@ -178,6 +175,14 @@ class QPolyU:
 
     def to_uv(self) -> "QPolyUV":
         return QPolyUV({(i, 0): c for i, c in enumerate(self.coeffs) if not c.is_zero})
+
+
+def _u_poly(coeffs: dict[int, Quaternion]) -> QPolyU:
+    """The dense u-polynomial with the given coefficients by degree."""
+    out = [_Q_ZERO] * (max(coeffs, default=-1) + 1)
+    for du, q in coeffs.items():
+        out[du] = q
+    return QPolyU(out)
 
 
 def left_div_rem(a: QPolyU, b: QPolyU) -> tuple[QPolyU, QPolyU]:
@@ -361,7 +366,7 @@ class _SparseUV:
 
     def eval(self, u0, v0):
         """Evaluate at a rational point."""
-        u0, v0 = Fraction(u0), Fraction(v0)
+        u0, v0 = _coerce_rational(u0), _coerce_rational(v0)
         acc = self._zero
         for (du, dv), c in self.terms.items():
             acc = acc + c * (u0**du * v0**dv)
@@ -408,32 +413,15 @@ class QPolyUV(_SparseUV):
         return self.terms[max(self.terms)]
 
     def __mul__(self, other):
-        if isinstance(other, QPolyUV):
-            out: dict[tuple[int, int], Quaternion] = {}
-            for (a1, b1), p in self.terms.items():
-                for (a2, b2), q in other.terms.items():
-                    key = (a1 + a2, b1 + b2)
-                    prod = p * q
-                    prev = out.get(key)
-                    s = prod if prev is None else prev + prod
-                    if s.is_zero:
-                        out.pop(key, None)
-                    else:
-                        out[key] = s
-            return QPolyUV._raw(out)
         if isinstance(other, (Quaternion, int, Fraction)):
-            q = _coerce_quat(other)
-            if q.is_zero:
-                return QPolyUV()
-            return QPolyUV._raw({k: s for k, s in ((k, p * q) for k, p in self.terms.items()) if not s.is_zero})
-        return NotImplemented
+            other = QPolyUV.const(other)
+        if not isinstance(other, QPolyUV):
+            return NotImplemented
+        return _product(self, other)
 
     def __rmul__(self, other):
         if isinstance(other, (Quaternion, int, Fraction)):
-            q = _coerce_quat(other)
-            if q.is_zero:
-                return QPolyUV()
-            return QPolyUV._raw({k: s for k, s in ((k, q * p) for k, p in self.terms.items()) if not s.is_zero})
+            return _product(QPolyUV.const(other), self)
         return NotImplemented
 
     def conj(self) -> "QPolyUV":
@@ -455,19 +443,74 @@ class QPolyUV(_SparseUV):
         Raises:
             DegreeTooHigh: if any term involves v.
         """
-        if self.terms and any(dv for _, dv in self.terms):
+        if any(dv for _, dv in self.terms):
             raise DegreeTooHigh("polynomial depends on v, cannot convert to a u-polynomial")
-        if not self.terms:
-            return QPolyU()
-        top = max(du for du, _ in self.terms)
-        out = [_Q_ZERO] * (top + 1)
-        for (du, _), q in self.terms.items():
-            out[du] = q
-        return QPolyU(out)
+        return _u_poly({du: q for (du, _), q in self.terms.items()})
 
     @classmethod
     def from_json(cls, obj) -> "QPolyUV":
         return cls._from_monomials(obj, "a quaternion polynomial")
+
+
+# Integer kernel: exponent pairs (du, dv) to (w, x, y, z, d), the coefficient
+# (w + xi + yj + zk)/d.  Denominators are per coefficient, never per polynomial.
+_IntPoly = dict[tuple[int, int], tuple[int, int, int, int, int]]
+
+
+def _int_terms(poly: QPolyUV) -> _IntPoly:
+    """The coefficients over the lcm of their own four denominators."""
+    out: _IntPoly = {}
+    for key, q in poly.terms.items():
+        w, x, y, z = q.w, q.x, q.y, q.z
+        d = lcm(w.denominator, x.denominator, y.denominator, z.denominator)
+        out[key] = (w.numerator * (d // w.denominator), x.numerator * (d // x.denominator),
+                    y.numerator * (d // y.denominator), z.numerator * (d // z.denominator), d)
+    return out
+
+
+def _int_mul(p: _IntPoly, q: _IntPoly) -> _IntPoly:
+    """Product with p on the left; keys whose terms cancel stay, with zero numerators."""
+    out: _IntPoly = {}
+    get = out.get
+    for (u1, v1), (a0, a1, a2, a3, da) in p.items():
+        for (u2, v2), (b0, b1, b2, b3, db) in q.items():
+            key = (u1 + u2, v1 + v2)
+            w = a0 * b0 - a1 * b1 - a2 * b2 - a3 * b3
+            x = a0 * b1 + a1 * b0 + a2 * b3 - a3 * b2
+            y = a0 * b2 - a1 * b3 + a2 * b0 + a3 * b1
+            z = a0 * b3 + a1 * b2 - a2 * b1 + a3 * b0
+            d = da * db
+            cur = get(key)
+            if cur is None:
+                out[key] = (w, x, y, z, d)
+            elif cur[4] == d:
+                out[key] = (cur[0] + w, cur[1] + x, cur[2] + y, cur[3] + z, d)
+            else:
+                c0, c1, c2, c3, dc = cur
+                m = lcm(dc, d)
+                s, t = m // dc, m // d
+                out[key] = (c0 * s + w * t, c1 * s + x * t, c2 * s + y * t, c3 * s + z * t, m)
+    return out
+
+
+def _int_equal(p: _IntPoly, q: _IntPoly) -> bool:
+    """Whether two integer polynomials are equal, by cross-multiplied denominators."""
+    zero = (0, 0, 0, 0, 1)
+    for key in p.keys() | q.keys():
+        a0, a1, a2, a3, da = p.get(key, zero)
+        b0, b1, b2, b3, db = q.get(key, zero)
+        if a0 * db != b0 * da or a1 * db != b1 * da or a2 * db != b2 * da or a3 * db != b3 * da:
+            return False
+    return True
+
+
+def _product(p: QPolyUV, q: QPolyUV) -> QPolyUV:
+    """``p * q`` through the integer kernel: one Fraction per component per output key."""
+    out = {}
+    for key, (w, x, y, z, d) in _int_mul(_int_terms(p), _int_terms(q)).items():
+        if w or x or y or z:
+            out[key] = Quaternion(Fraction(w, d), Fraction(x, d), Fraction(y, d), Fraction(z, d))
+    return QPolyUV._raw(out)
 
 
 def v_slices(p: QPolyUV) -> tuple[QPolyU, QPolyU]:
@@ -479,25 +522,12 @@ def v_slices(p: QPolyUV) -> tuple[QPolyU, QPolyU]:
     Raises:
         DegreeTooHigh: if some term has v-degree 2 or more.
     """
-    ones: dict[int, Quaternion] = {}
-    zeros: dict[int, Quaternion] = {}
+    slices: tuple[dict, dict] = ({}, {})
     for (du, dv), q in p.terms.items():
-        if dv == 0:
-            zeros[du] = q
-        elif dv == 1:
-            ones[du] = q
-        else:
+        if dv > 1:
             raise DegreeTooHigh(f"v-degree {dv} exceeds 1")
-
-    def build(d: dict[int, Quaternion]) -> QPolyU:
-        if not d:
-            return QPolyU()
-        out = [_Q_ZERO] * (max(d) + 1)
-        for du, q in d.items():
-            out[du] = q
-        return QPolyU(out)
-
-    return build(ones), build(zeros)
+        slices[dv][du] = q
+    return _u_poly(slices[1]), _u_poly(slices[0])
 
 
 # endregion
@@ -541,7 +571,7 @@ class RPolyUV(_SparseUV):
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        c = Fraction(other)
+        c = _coerce_rational(other)
         return RPolyUV._raw({k: p / c for k, p in self.terms.items()})
 
     def to_quat(self) -> QPolyUV:

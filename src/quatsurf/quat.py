@@ -20,10 +20,15 @@ _ONE = Fraction(1)
 
 
 def rational_to_str(r: Fraction) -> str:
-    """Render ``p/q`` in lowest terms, or just ``p`` for integers."""
-    if r.denominator == 1:
-        return str(r.numerator)
-    return f"{r.numerator}/{r.denominator}"
+    """Render ``p/q`` in lowest terms, or just ``p`` for integers.
+
+    Raises:
+        InvalidInput: if a part has more digits than the interpreter prints.
+    """
+    try:
+        return str(r.numerator) if r.denominator == 1 else f"{r.numerator}/{r.denominator}"
+    except ValueError:
+        raise InvalidInput("a rational has too many digits to print") from None
 
 
 def rational_from_str(text: str) -> Fraction:

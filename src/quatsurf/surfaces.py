@@ -95,7 +95,7 @@ class _Circle:
         return _dot(self.e1, self.e1)
 
     def point(self, t) -> tuple[Fraction, ...]:
-        c, s = _weights(Fraction(t))
+        c, s = _weights(_coerce(t))
         return _add(self.center, _add(_scale(self.e1, c), _scale(self.e2, s)))
 
     def point_at_infinity(self) -> tuple[Fraction, ...]:
@@ -186,7 +186,7 @@ class Quadric4:
 
     def value(self, point4, h=1) -> Fraction:
         """Evaluate the form at an affine sphere point (h defaults to 1)."""
-        vec = tuple(Fraction(c) for c in point4) + (Fraction(h),)
+        vec = tuple(_coerce(c) for c in point4) + (_coerce(h),)
         return sum(
             (self.q[i][j] * vec[i] * vec[j] for i in range(5) for j in range(5)),
             Fraction(0),
@@ -260,8 +260,8 @@ def cyclide_implicit(quadric: Quadric4) -> Quartic:
 
 def quartic_value(quartic: Quartic, point3, w=1) -> Fraction:
     """Evaluate a quartic at an affine point (w defaults to 1)."""
-    x, y, z = (Fraction(c) for c in point3)
-    w = Fraction(w)
+    x, y, z = (_coerce(c) for c in point3)
+    w = _coerce(w)
     total = Fraction(0)
     for (ex, ey, ez, ew), c in quartic.items():
         total += c * x**ex * y**ey * z**ez * w**ew
@@ -361,7 +361,7 @@ def stereo(x) -> Point3:
     Raises:
         PolePoint: at the pole, where the first coordinate equals 1.
     """
-    w, p1, p2, p3 = (Fraction(c) for c in x)
+    w, p1, p2, p3 = (_coerce(c) for c in x)
     if w == 1:
         raise PolePoint("stereographic projection is undefined at the pole")
     d = 1 - w
@@ -370,7 +370,7 @@ def stereo(x) -> Point3:
 
 def stereo_inv(p) -> Point4:
     """Inverse stereographic projection onto the unit sphere (never the pole)."""
-    x, y, z = (Fraction(c) for c in p)
+    x, y, z = (_coerce(c) for c in p)
     n = x * x + y * y + z * z
     d = n + 1
     return ((n - 1) / d, 2 * x / d, 2 * y / d, 2 * z / d)
@@ -400,10 +400,11 @@ def coordinate_curve(spec: SurfaceSpec, which: str, fixed, samples, *, mask_pole
         raise InvalidInput("'which' must be 'u' or 'v'")
     if spec.family == "d":
         raise UnsupportedFamily("implicit surfaces have no parametric coordinate curves")
-    fixed = Fraction(fixed)
+    fixed = _coerce(fixed)
     out = []
     for t in samples:
-        u, v = (fixed, Fraction(t)) if which == "u" else (Fraction(t), fixed)
+        t = _coerce(t)
+        u, v = (fixed, t) if which == "u" else (t, fixed)
         if spec.family == "e":
             out.append(eval_e(spec.alpha, spec.beta, u, v))
         else:
@@ -507,14 +508,19 @@ def is_circle_or_line(points) -> bool:
 
 
 def render_decimal(value: Fraction, digits: int = 12) -> str:
-    """Fixed-point decimal rendering, round half to even, exact in the integers."""
+    """Fixed-point decimal rendering, round half to even, exact in the integers.
+
+    Raises:
+        InvalidInput: if the result has more digits than the interpreter prints.
+    """
     scale = 10**digits
     scaled = round(value * scale)
     sign = "-" if scaled < 0 else ""
     ip, fp = divmod(abs(scaled), scale)
-    if digits == 0:
-        return f"{sign}{ip}"
-    return f"{sign}{ip}.{str(fp).zfill(digits)}"
+    try:
+        return f"{sign}{ip}.{str(fp).zfill(digits)}" if digits else f"{sign}{ip}"
+    except ValueError:
+        raise InvalidInput("a decimal has too many digits to print") from None
 
 
 def export_csv(grid, digits: int = 12) -> str:

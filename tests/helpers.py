@@ -430,3 +430,25 @@ def reference_is_degenerate(m: Mat2) -> bool:
 
 
 # endregion
+
+
+# region reference product by quaternion objects
+
+
+def reference_qpolyuv_mul(p: QPolyUV, q: QPolyUV) -> QPolyUV:
+    """``p * q`` by a loop over Quaternion coefficient products, as an oracle."""
+    out: dict[tuple[int, int], Quaternion] = {}
+    for (a1, b1), x in p.terms.items():
+        for (a2, b2), y in q.terms.items():
+            key = (a1 + a2, b1 + b2)
+            prod = x * y
+            prev = out.get(key)
+            s = prod if prev is None else prev + prod
+            if s.is_zero:
+                out.pop(key, None)
+            else:
+                out[key] = s
+    return QPolyUV._raw(out)
+
+
+# endregion

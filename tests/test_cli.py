@@ -230,6 +230,37 @@ def test_malformed_json_is_clean_error(tmp_path, capsys):
 CIRCLE_DOC = {"center": ["0", "0", "0"], "e1": ["1", "0", "0"], "e2": ["0", "1", "0"]}
 
 
+def _monomial(du, c):
+    return [{"u": du, "v": 0, "c": [c, "0", "0", "0"]}]
+
+
+# Each output holds a number past the interpreter's 4300-digit int-to-str limit.
+@pytest.mark.parametrize(
+    "argv",
+    [
+        lambda tmp: [
+            "tuple-from-pair",
+            "--a", write_json(tmp / "a.json", _monomial(0, "1" * 2500)),
+            "--b", write_json(tmp / "b.json", _monomial(1, "1")),
+        ],
+        lambda tmp: [
+            "split",
+            "--in", write_json(tmp / "m.json", [[_monomial(0, "1e5000")] * 2, [_monomial(0, "1")] * 2]),
+        ],
+        lambda tmp: [
+            "gen-surface", "--family", "e", "--format", "csv", "--digits", "5000", "--grid", "2",
+            "--spec", write_json(tmp / "s.json", {"family": "e", "alpha": CIRCLE_DOC, "beta": CIRCLE_DOC}),
+        ],
+    ],
+    ids=["tuple-from-pair", "split", "gen-surface"],
+)
+def test_numbers_too_long_to_print_are_clean_errors(tmp_path, capsys, argv):
+    rc, out, err = run(capsys, *argv(tmp_path))
+    assert rc == 1 and out == ""
+    assert json.loads(err)["error"] == "InvalidInput"
+    assert len(err.splitlines()) == 1
+
+
 @pytest.mark.parametrize(
     "family, doc",
     [

@@ -1,6 +1,7 @@
 """Matrices over the polynomial ring: Kronecker products, symmetries, degeneracy."""
 
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -187,6 +188,13 @@ def test_order_of_the_pivot_product_matters():
     # degenerate.  Checking b*conj(a)*c instead of c*conj(a)*b gets both wrong.
     assert not is_degenerate(Mat2(ONE_P, const(I), const(J), const(K)))
     assert is_degenerate(Mat2(ONE_P, const(I), const(J), const(-K)))
+
+
+def test_rational_entries_are_compared_without_row_scaling():
+    # 1/2 * 1/6 = 1/3 * 1/4, while 1/2 * 1/5 differs; denominators differ within each row.
+    half, third, quarter = const(Fraction(1, 2)), const(Fraction(1, 3)), const(Fraction(1, 4))
+    assert is_degenerate(Mat2(half, third, quarter, const(Fraction(1, 6))))
+    assert not is_degenerate(Mat2(half, third, quarter, const(Fraction(1, 5))))
 
 
 def test_zero_pivot_with_both_neighbors_nonzero_has_full_rank():

@@ -29,6 +29,7 @@ from helpers import (
     rand_qpolyuv,
     rand_quat,
     rand_rpolyuv,
+    reference_qpolyuv_mul,
 )
 
 U = QPolyU.var_u()
@@ -38,6 +39,14 @@ VV = QPolyUV.var_v()
 fractions = st.fractions(min_value=-8, max_value=8, max_denominator=10)
 quaternions = st.builds(Quaternion, fractions, fractions, fractions, fractions)
 upolys = st.lists(quaternions, max_size=5).map(QPolyU)
+
+# Small denominators mixed with 12-digit ones, so per-coefficient denominators differ.
+wide_fractions = st.builds(Fraction, st.integers(-10**12, 10**12), st.integers(1, 10**12))
+wide_quaternions = st.builds(Quaternion, *[st.one_of(fractions, wide_fractions)] * 4)
+wide_uvpolys = st.dictionaries(
+    st.tuples(st.integers(0, 3), st.integers(0, 2)), wide_quaternions, max_size=5
+).map(QPolyUV)
+wide_upolys = st.lists(wide_quaternions, max_size=4).map(QPolyU)
 
 
 # region univariate basics
@@ -231,6 +240,35 @@ def test_negative_exponents_rejected():
         QPolyUV({(-1, 0): I})
     with pytest.raises(InvalidInput):
         RPolyUV({(0, -2): 1})
+
+
+@st.composite
+def kernel_operands(draw):
+    """Two polynomials, and the key of their product whose terms cancel, if one is arranged."""
+    if draw(st.booleans()):
+        return draw(wide_uvpolys), draw(wide_uvpolys), None
+    # (a + b*u) * (c*u + d) with d = -b^-1*a*c: the u terms a*c and b*d cancel.
+    a, b, c = (draw(wide_quaternions.filter(bool)) for _ in range(3))
+    d = -(b.inverse() * a * c)
+    return QPolyUV({(0, 0): a, (1, 0): b}), QPolyUV({(1, 0): c, (0, 0): d}), (1, 0)
+
+
+@given(kernel_operands(), st.one_of(wide_quaternions, wide_fractions, st.integers(-10**12, 10**12)))
+def test_kernel_products_match_the_quaternion_loop(operands, scalar):
+    p, q, cancelled = operands
+    product = p * q
+    assert product == reference_qpolyuv_mul(p, q)
+    assert cancelled not in product.terms
+    const = QPolyUV.const(scalar)
+    assert p * scalar == reference_qpolyuv_mul(p, const)
+    assert scalar * p == reference_qpolyuv_mul(const, p)
+
+
+@given(wide_upolys, wide_upolys, wide_quaternions)
+def test_univariate_products_match_the_quaternion_loop(a, b, scalar):
+    assert (a * b).to_uv() == reference_qpolyuv_mul(a.to_uv(), b.to_uv())
+    assert (a * scalar).to_uv() == reference_qpolyuv_mul(a.to_uv(), QPolyUV.const(scalar))
+    assert (scalar * a).to_uv() == reference_qpolyuv_mul(QPolyUV.const(scalar), a.to_uv())
 
 
 # endregion

@@ -13,8 +13,10 @@ from quatsurf import (
     DegenerateFamily,
     InvalidInput,
     PolePoint,
+    QPolyU,
     Quadric4,
     Quaternion,
+    RPolyUV,
     SurfaceSpec,
     TooFewPoints,
     UnsupportedFamily,
@@ -133,6 +135,28 @@ def test_circles_reject_float_coordinates():
         Circle3((0.5, 0, 0), (1, 0, 0), (0, 1, 0))
     with pytest.raises(TypeError):
         CircleS3((0, 0, 0, 0), (1.0, 0, 0, 0), (0, 1, 0, 0))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: RPolyUV.var_u().eval(0.1, 0),
+        lambda: QPolyU.var_u().eval(0.5),
+        lambda: RPolyUV.var_u() / 0.5,
+        lambda: XY_CIRCLE.point(0.5),
+        lambda: coordinate_curve(SurfaceSpec.family_e(XY_CIRCLE, XZ_CIRCLE), "u", 0, [0, 0.5]),
+        lambda: stereo((0.5, 0, 0, 0)),
+        lambda: stereo_inv((0.5, 0, 0)),
+        lambda: quartic_value(TORUS_QUARTIC, (0.5, 0, 0)),
+        lambda: TORUS_QUADRIC.value((0.5, 0, 0, 0)),
+    ],
+    ids=["sparse-eval", "u-eval", "rpoly-div", "circle-point", "coordinate-curve", "stereo",
+         "stereo-inv", "quartic-value", "quadric-value"],
+)
+def test_float_arguments_are_rejected(call):
+    # 0.1 is not exact; it would silently become 3602879701896397/36028797018963968.
+    with pytest.raises(TypeError):
+        call()
 
 
 # endregion

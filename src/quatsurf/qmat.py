@@ -10,17 +10,16 @@ at most 1.  The quotient ring is a division ring and u, v are central, so with
 read off from ``(c, d) = (c * a^-1) * (a, b)`` with ``a^-1 = conj(a) / N(a)``
 (the Dieudonne/Study view of the quaternionic determinant).  With ``a = 0``
 the matrix is degenerate iff ``b = 0`` or ``c = 0``.  Deciding it needs one
-exact polynomial identity, evaluated in the integer kernel of
-:mod:`quatsurf.qpoly` (integer numerators over per-coefficient
-denominators); rows are not scaled, and this module does no polynomial
-arithmetic of its own.
+exact polynomial identity, evaluated on the canonical integer coefficients
+that :mod:`quatsurf.qpoly` stores; rows are not scaled, and this module does
+no polynomial arithmetic of its own.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .qpoly import QPolyUV, _int_equal, _int_mul, _int_terms
+from .qpoly import QPolyUV, _qmul
 from .quat import _json_array
 
 # region types
@@ -118,15 +117,15 @@ def is_degenerate(m: Mat2) -> bool:
     when ``b = 0`` or ``c = 0``.  Otherwise the second row must be
     ``c * a^-1`` times the first, which leaves the single condition
     ``c * conj(a) * b == N(a) * d`` with the central norm ``N(a) = a * conj(a)``.
-    Both sides are built and compared in the integer kernel of
-    :mod:`quatsurf.qpoly`, where each coefficient carries its own
-    denominator, so no row is scaled.  Exact, no floating point.
+    Both sides are multiplied out on the stored integer coefficients, each
+    over its own denominator, so no row is scaled; canonical coefficients
+    make the comparison a plain map equality.  Exact, no floating point.
     """
     if m.m11.is_zero:
         return m.m12.is_zero or m.m21.is_zero
-    a, b, c, d = (_int_terms(e) for e in m.entries())
-    a_conj = _int_terms(m.m11.conj())
-    return _int_equal(_int_mul(_int_mul(c, a_conj), b), _int_mul(_int_mul(a, a_conj), d))
+    a, b, c, d = (e._ints for e in m.entries())
+    a_conj = m.m11.conj()._ints
+    return _qmul(_qmul(c, a_conj), b) == _qmul(_qmul(a, a_conj), d)
 
 
 # endregion

@@ -25,8 +25,14 @@ def rational_to_str(r: Fraction) -> str:
     Raises:
         InvalidInput: if a part has more digits than the interpreter prints.
     """
+    return _ratio_to_str((r.numerator, r.denominator))
+
+
+def _ratio_to_str(ratio: tuple[int, int]) -> str:
+    """:func:`rational_to_str` of ``n/d`` for a pair ``(n, d)`` already in lowest terms with ``d > 0``."""
+    n, d = ratio
     try:
-        return str(r.numerator) if r.denominator == 1 else f"{r.numerator}/{r.denominator}"
+        return str(n) if d == 1 else f"{n}/{d}"
     except ValueError:
         raise InvalidInput("a rational has too many digits to print") from None
 
@@ -139,7 +145,8 @@ class Quaternion:
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash((self.w, self.x, self.y, self.z))
+        # A real quaternion equals its real part, so it hashes as that part does.
+        return hash(self.w) if self.is_real else hash((self.w, self.x, self.y, self.z))
 
     def __repr__(self) -> str:
         parts = ", ".join(rational_to_str(c) for c in self.components())

@@ -432,23 +432,74 @@ def reference_is_degenerate(m: Mat2) -> bool:
 # endregion
 
 
-# region reference product by quaternion objects
+# region reference arithmetic on coefficient values
+
+# The Fraction-object arithmetic that quatsurf.qpoly ran before its integer
+# core, kept as oracles.  Polynomials here are plain maps from exponent pairs
+# to nonzero Quaternion or Fraction values, the shape of ``.terms``.
+
+
+def reference_add(p: dict, q: dict) -> dict:
+    """``p + q`` by adding coefficient values, dropping the sums that vanish."""
+    out = dict(p)
+    for key, c in q.items():
+        prev = out.get(key)
+        s = c if prev is None else prev + c
+        if s:
+            out[key] = s
+        else:
+            out.pop(key, None)
+    return out
+
+
+def reference_neg(p: dict) -> dict:
+    return {key: -c for key, c in p.items()}
+
+
+def reference_conj(p: dict) -> dict:
+    return {key: c.conj() for key, c in p.items()}
+
+
+def reference_mul(p: dict, q: dict) -> dict:
+    """``p * q`` by a loop over coefficient value products, ``p`` on the left."""
+    out: dict = {}
+    for (a1, b1), x in p.items():
+        for (a2, b2), y in q.items():
+            key = (a1 + a2, b1 + b2)
+            prev = out.get(key)
+            s = x * y if prev is None else prev + x * y
+            if s:
+                out[key] = s
+            else:
+                out.pop(key, None)
+    return out
 
 
 def reference_qpolyuv_mul(p: QPolyUV, q: QPolyUV) -> QPolyUV:
     """``p * q`` by a loop over Quaternion coefficient products, as an oracle."""
-    out: dict[tuple[int, int], Quaternion] = {}
-    for (a1, b1), x in p.terms.items():
-        for (a2, b2), y in q.terms.items():
-            key = (a1 + a2, b1 + b2)
-            prod = x * y
-            prev = out.get(key)
-            s = prod if prev is None else prev + prod
-            if s.is_zero:
-                out.pop(key, None)
-            else:
-                out[key] = s
-    return QPolyUV._raw(out)
+    return QPolyUV(reference_mul(p.terms, q.terms))
+
+
+def reference_div_rem(a: dict, b: dict, left: bool) -> tuple[dict, dict]:
+    """Two-sided division of u-polynomials (keys ``(du, 0)``) on dense Quaternion lists.
+
+    ``left`` gives ``a = b*q + r``, otherwise ``a = q*b + r``; ``deg r < deg b``.
+    """
+    bc = [b.get((i, 0), Quaternion.zero()) for i in range(max(b)[0] + 1)]
+    rc = [a.get((i, 0), Quaternion.zero()) for i in range(max(a, default=(-1, 0))[0] + 1)]
+    db = len(bc) - 1
+    lead_inv = bc[-1].inverse()
+    qc: dict = {}
+    while len(rc) - 1 >= db:
+        shift = len(rc) - 1 - db
+        c = lead_inv * rc[-1] if left else rc[-1] * lead_inv
+        qc[(shift, 0)] = c
+        for i in range(db):
+            rc[i + shift] = rc[i + shift] - (bc[i] * c if left else c * bc[i])
+        rc.pop()
+        while rc and rc[-1].is_zero:
+            rc.pop()
+    return qc, {(i, 0): c for i, c in enumerate(rc) if c}
 
 
 # endregion

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given
@@ -29,6 +30,11 @@ from helpers import (
     rand_qpolyuv,
     rand_quat,
     rand_rpolyuv,
+    reference_add,
+    reference_conj,
+    reference_div_rem,
+    reference_mul,
+    reference_neg,
     reference_qpolyuv_mul,
 )
 
@@ -47,6 +53,7 @@ wide_uvpolys = st.dictionaries(
     st.tuples(st.integers(0, 3), st.integers(0, 2)), wide_quaternions, max_size=5
 ).map(QPolyUV)
 wide_upolys = st.lists(wide_quaternions, max_size=4).map(QPolyU)
+mixed_fractions = st.one_of(fractions, wide_fractions)
 
 
 # region univariate basics
@@ -303,6 +310,8 @@ def test_u_poly_round_trip():
         assert p.to_uv().to_u_poly() == p
     with pytest.raises(DegreeTooHigh):
         (VV * I).to_u_poly()
+    with pytest.raises(DegreeTooHigh):
+        QPolyU.var_v()
 
 
 def test_components_and_quat_poly_round_trip():
@@ -354,6 +363,14 @@ def test_rpolyuv_json_round_trip():
         assert RPolyUV.from_json(p.to_json()) == p
 
 
+def test_qpolyu_json_is_its_v_free_bivariate_json():
+    rng = random.Random(13)
+    for _ in range(30):
+        p = rand_qpolyu(rng)
+        assert p.to_json() == p.to_uv().to_json()
+        assert QPolyUV.from_json(p.to_json()).to_u_poly() == p
+
+
 def test_json_rejects_malformed():
     with pytest.raises(InvalidInput):
         QPolyUV.from_json({"not": "a list"})
@@ -361,6 +378,80 @@ def test_json_rejects_malformed():
         QPolyUV.from_json([{"u": 0}])
     with pytest.raises(InvalidInput):
         RPolyUV.from_json([{"u": 0, "v": 0, "c": "1/0"}])
+
+
+# endregion
+
+# region integer core against the Fraction oracles
+
+
+def _dense_u(terms: dict) -> QPolyU:
+    return QPolyU([terms.get((du, 0), 0) for du in range(max(terms, default=(-1, 0))[0] + 1)])
+
+
+# (class, coefficient strategy, largest v-degree, constructor from a term map)
+CORES = {
+    "QPolyUV": (QPolyUV, wide_quaternions, 2, QPolyUV),
+    "QPolyU": (QPolyU, wide_quaternions, 0, _dense_u),
+    "RPolyUV": (RPolyUV, mixed_fractions, 2, RPolyUV),
+}
+
+
+@st.composite
+def operand_pairs(draw, coeffs, max_dv: int):
+    """Two term maps; the second negates a drawn subset of the first's terms, so sums cancel there."""
+    keys = st.tuples(st.integers(0, 3), st.integers(0, max_dv))
+    p = draw(st.dictionaries(keys, coeffs.filter(bool), max_size=5))
+    q = draw(st.dictionaries(keys, coeffs.filter(bool), max_size=5))
+    if p:
+        for key in draw(st.lists(st.sampled_from(sorted(p)), unique=True)):
+            q[key] = -p[key]
+    return p, q
+
+
+def assert_canonical(poly) -> None:
+    """Every stored tuple has a positive denominator, gcd 1 and a nonzero numerator."""
+    for c in poly._ints.values():
+        assert c[-1] > 0 and gcd(*c) == 1 and any(c[:-1])
+
+
+@pytest.mark.parametrize("core", CORES)
+@given(data=st.data())
+def test_integer_core_matches_the_fraction_oracles(core, data):
+    cls, coeffs, max_dv, build = CORES[core]
+    p, q = data.draw(operand_pairs(coeffs, max_dv))
+    a, b = build(p), build(q)
+    assert a.terms == p and b.terms == q
+    assert (a + b).terms == reference_add(p, q)
+    assert (a - b).terms == reference_add(p, reference_neg(q))
+    assert (-a).terms == reference_neg(p)
+    assert (a * b).terms == reference_mul(p, q)
+    if cls is not RPolyUV:
+        assert a.conj().terms == reference_conj(p)
+    if cls is QPolyU and b:
+        for left, divide in ((True, left_div_rem), (False, right_div_rem)):
+            quotient, remainder = divide(a, b)
+            assert (quotient.terms, remainder.terms) == reference_div_rem(p, q, left)
+
+
+@pytest.mark.parametrize("core", CORES)
+@given(data=st.data())
+def test_every_route_to_a_value_gives_one_canonical_form(core, data):
+    cls, coeffs, max_dv, build = CORES[core]
+    p, q = data.draw(operand_pairs(coeffs, max_dv))
+    a, b = build(p), build(q)
+    routes = [a, (a * 2) * Fraction(1, 2), a + b - b, b + a - b]
+    if cls is QPolyU and b:
+        quotient, remainder = left_div_rem(a, b)
+        routes.append(b * quotient + remainder)
+        quotient, remainder = right_div_rem(a, b)
+        routes.append(quotient * b + remainder)
+    for route in routes:
+        assert route == a and hash(route) == hash(a)
+        assert_canonical(route)
+    difference = a - a
+    assert difference == cls.zero() and hash(difference) == hash(cls.zero())
+    assert not difference.terms and not difference._ints
 
 
 # endregion

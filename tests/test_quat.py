@@ -60,6 +60,15 @@ def test_equality_against_scalars():
     assert Quaternion(3) != Quaternion(3, 0, 0, 1)
 
 
+@pytest.mark.parametrize("scalar", [1, -7, 0, Fraction(1, 2), Fraction(-10**12, 7)])
+def test_real_quaternions_hash_as_their_scalar(scalar):
+    q = Quaternion(scalar)
+    assert q == scalar and hash(q) == hash(scalar)
+    assert scalar in {q} and q in {scalar}
+    assert {q: "q"}[scalar] == "q" and {scalar: "s"}[q] == "s"
+    assert Quaternion(scalar, 1) not in {scalar}
+
+
 def test_components_and_predicates():
     q = Quaternion(1, 0, Fraction(2, 3), 0)
     assert q.components() == (1, 0, Fraction(2, 3), 0)

@@ -453,6 +453,8 @@ class QPolyU(_SparseUV):
     lead = property(QPolyUV.lead_coeff)
 
     def __init__(self, coeffs: Iterable = ()):
+        if isinstance(coeffs, Mapping):
+            raise TypeError("QPolyU takes its coefficients low degree first, not a mapping")
         super().__init__(((power, 0), c) for power, c in enumerate(coeffs))
 
     @classmethod
@@ -475,12 +477,8 @@ class QPolyU(_SparseUV):
         return f"QPolyU({list(self.coeffs)!r})"
 
     def eval(self, u0) -> Quaternion:
-        """Evaluate at a rational point by Horner's rule."""
-        u0 = _coerce_rational(u0)
-        acc = _Q_ZERO
-        for c in reversed(self.coeffs):
-            acc = acc * u0 + c
-        return acc
+        """Evaluate at a rational point."""
+        return super().eval(u0, 0)
 
     def to_uv(self) -> QPolyUV:
         return QPolyUV._raw(self._ints)

@@ -8,16 +8,16 @@ elementary moves, each of which is undone on the factors afterwards:
 * a column operation ``col1 -= col2 * x`` with x free of v, which turns a
   certificate (a, b) of the reduced matrix into (a, (b1 + b2*x, b2)).
 
-While some entry depends on v, the v-linear parts ``m_ij = s_ij(u)*v + ...``
-drive the reduction: a symmetry is chosen that puts a nonzero slope of
-minimal degree at position 22 with a nonzero slope at 21, and the division
-``s21 = s22*q + r`` feeds the column operation.  Each accepted step strictly
-shrinks the pair (number of nonzero slopes, minimal slope degree) in
-lexicographic order.  Once the matrix is v-free the same division game runs
-on the entries themselves until one of them dies; a matrix with a zero entry
-factors directly.  Any stall, which cannot happen for genuinely degenerate
-input, raises :class:`NoProgress` rather than returning an unverified
-certificate.
+One division game drives the reduction.  Its drivers are the v-slopes of
+``m_ij = s_ij(u)*v + ...`` while some entry depends on v, and the entries
+themselves once the matrix is v-free: a symmetry is chosen that puts a
+nonzero driver of minimal degree at position 22 with a nonzero driver at 21,
+and the division ``d21 = d22*q + r`` feeds the column operation.  Each
+accepted step strictly shrinks the pair (number of nonzero drivers, minimal
+driver degree) in lexicographic order.  A matrix with a zero entry has a zero
+row or column and factors by inspection.  Any stall, which cannot happen for
+genuinely degenerate input, raises :class:`NoProgress` rather than returning
+an unverified certificate.
 """
 
 from __future__ import annotations
@@ -67,20 +67,6 @@ _SYMMETRIES: tuple[tuple[str, ...], ...] = (
     (_CT, _SR, _SC),
 )
 
-# Move sequences that bring a chosen position to 22.
-_TO_22 = {
-    (1, 1): (_SR, _SC),
-    (1, 2): (_SR,),
-    (2, 1): (_SC,),
-    (2, 2): (),
-}
-
-_POSITIONS = ((2, 2), (2, 1), (1, 2), (1, 1))
-
-
-def _entry(m: Mat2, pos: tuple[int, int]) -> QPolyUV:
-    return m.entries()[(pos[0] - 1) * 2 + (pos[1] - 1)]
-
 
 def _apply_move(m: Mat2, move) -> Mat2:
     kind = move[0]
@@ -116,54 +102,31 @@ def _measure(slopes) -> tuple[int, int]:
     return (len(degrees), min(degrees))
 
 
-def _factor_with_zero(m: Mat2) -> tuple[list, tuple[QPolyUV, QPolyUV], tuple[QPolyUV, QPolyUV]]:
-    """Factor a matrix that has at least one zero entry.
+def _factor_with_zero(m: Mat2) -> tuple[tuple[QPolyUV, QPolyUV], tuple[QPolyUV, QPolyUV]]:
+    """Factor a matrix that has at least one zero entry, by inspection.
 
-    Swaps bring a zero to position 22; degeneracy forces m12*m21 = 0 there,
-    and the coefficient ring has no zero divisors, so a whole row or column
-    is zero and the matrix factors by inspection.
+    Degeneracy forces the product of a zero entry's two neighbors to vanish,
+    and the coefficient ring has no zero divisors, so a whole row or column is
+    zero.  When more than one is, the first in the order below is read off.
     """
-    for pos in _POSITIONS:
-        if _entry(m, pos).is_zero:
-            moves = [(op,) for op in _TO_22[pos]]
-            break
-    cur = m
-    for move in moves:
-        cur = _apply_move(cur, move)
+    a, b, c, d = m.entries()
     one = QPolyUV.one()
     zero = QPolyUV.zero()
-    if cur.m21.is_zero:
-        return moves, (one, zero), (cur.m11, cur.m12)
-    if cur.m12.is_zero:
-        return moves, (cur.m11, cur.m21), (one, zero)
+    if not (c or d):
+        return (one, zero), (a, b)
+    if not (b or d):
+        return (a, c), (one, zero)
+    if not (a or c):
+        return (b, d), (zero, one)
+    if not (a or b):
+        return (zero, one), (c, d)
     raise NoProgress("a zero entry with both neighbors nonzero contradicts degeneracy")
 
 
-def _case_v_free(cur: Mat2) -> list:
-    """One division step on a v-free matrix with four nonzero entries.
-
-    Moves the entry of minimal u-degree to 22, divides m21 by it from the
-    left and clears the quotient out of the first column.  The remainder has
-    strictly smaller degree than the pivot, so the minimal entry degree drops
-    (or an entry dies and the zero-entry base case takes over).
-    """
-    entries = {pos: _entry(cur, pos).to_u_poly() for pos in _POSITIONS}
-    pivot = min(_POSITIONS, key=lambda pos: (entries[pos].degree, _POSITIONS.index(pos)))
-    moves = [(op,) for op in _TO_22[pivot]]
-    t = cur
-    for move in moves:
-        t = _apply_move(t, move)
-    q, _ = left_div_rem(t.m21.to_u_poly(), t.m22.to_u_poly())
-    if not q:
-        raise NoProgress("v-free division step produced a zero quotient")
-    moves.append((_CO, q.to_uv()))
-    return moves
-
-
 def _move_slopes(slopes, op: str):
-    """The v-slopes after a symmetry, read off the slopes before it.
+    """The drivers after a symmetry, read off the drivers before it.
 
-    v is central and conjugation acts coefficientwise, so each slope follows
+    v is central and conjugation acts coefficientwise, so each v-slope follows
     its entry: swaps permute the four, and the conjugate transpose also
     conjugates them.
     """
@@ -175,36 +138,47 @@ def _move_slopes(slopes, op: str):
     return (s11.conj(), s21.conj(), s12.conj(), s22.conj())
 
 
-def _case_v_bound(cur: Mat2) -> list:
-    """One division step on the v-linear slopes, chosen by the progress guard.
+def _drivers(m: Mat2) -> tuple[QPolyU, QPolyU, QPolyU, QPolyU]:
+    """The v-slopes while any is nonzero, else the entries as u-polynomials."""
+    slopes = _slopes(m)
+    if any(slopes):
+        return slopes
+    return tuple(e.to_u_poly() for e in m.entries())  # type: ignore[return-value]
 
-    Tries every symmetry that exposes nonzero slopes at 22 and 21, preferring
-    a minimal-degree pivot slope, and accepts the first column operation that
-    strictly shrinks (slope count, minimal slope degree).  Only the slopes go
-    through the symmetries; the accepted one is applied to the matrix by the
-    caller.  For degenerate input such a step always exists; the guard
-    protects against silent loops.
+
+def _step(cur: Mat2) -> list:
+    """One division step on the matrix's drivers, chosen by the progress guard.
+
+    The drivers are the v-slopes while some entry depends on v, and the
+    entries themselves once the matrix is v-free.  Tries every symmetry that
+    exposes nonzero drivers at 22 and 21, preferring a minimal-degree pivot,
+    and accepts the first column operation that strictly shrinks (driver
+    count, minimal driver degree).  Only the drivers go through the
+    symmetries; the accepted one is applied to the matrix by the caller.  For
+    degenerate input such a step always exists: on v-free entries the first
+    candidate divides by a least-degree pivot, so its quotient is nonzero and
+    its remainder smaller.  The guard protects against silent loops.
     """
     # Every symmetry's proper prefix precedes it in _SYMMETRIES.
-    derived = {(): _slopes(cur)}
+    derived = {(): _drivers(cur)}
     cur_measure = _measure(derived[()])
     candidates = []
     for idx, sym in enumerate(_SYMMETRIES):
         if sym:
             derived[sym] = _move_slopes(derived[sym[:-1]], sym[-1])
-        slopes = derived[sym]
-        if slopes[3] and slopes[2]:
-            candidates.append((slopes[3].degree, idx, sym, slopes))
+        drivers = derived[sym]
+        if drivers[3] and drivers[2]:
+            candidates.append((drivers[3].degree, idx, sym, drivers))
     candidates.sort(key=lambda c: (c[0], c[1]))
-    for _, _, sym, slopes in candidates:
-        q, r = left_div_rem(slopes[2], slopes[3])
+    for _, _, sym, drivers in candidates:
+        q, r = left_div_rem(drivers[2], drivers[3])
         if not q:
             continue
-        new_s11 = slopes[0] - slopes[1] * q
-        next_measure = _measure((new_s11, slopes[1], r, slopes[3]))
+        new_d11 = drivers[0] - drivers[1] * q
+        next_measure = _measure((new_d11, drivers[1], r, drivers[3]))
         if next_measure < cur_measure:
             return [(op,) for op in sym] + [(_CO, q.to_uv())]
-    raise NoProgress("no symmetry and division step shrinks the v-dependence measure")
+    raise NoProgress("no symmetry and division step shrinks the measure of the drivers")
 
 
 def split(m: Mat2) -> SplitCertificate:
@@ -241,16 +215,14 @@ def split(m: Mat2) -> SplitCertificate:
             y = (QPolyUV.one(), QPolyUV.zero())
             break
         if any(e.is_zero for e in cur.entries()):
-            extra, x, y = _factor_with_zero(cur)
-            moves.extend(extra)
+            x, y = _factor_with_zero(cur)
             break
+        step = _step(cur)
         if all(e.deg_v <= 0 for e in cur.entries()):
-            step = _case_v_free(cur)
             u_steps += 1
             if u_steps > step_cap:
                 raise NoProgress("v-free reduction exceeded its step cap")
         else:
-            step = _case_v_bound(cur)
             v_steps += 1
             if v_steps > step_cap:
                 raise NoProgress("v-dependence reduction exceeded its step cap")

@@ -511,8 +511,11 @@ def render_decimal(value: Fraction, digits: int = 12) -> str:
     """Fixed-point decimal rendering, round half to even, exact in the integers.
 
     Raises:
-        InvalidInput: if the result has more digits than the interpreter prints.
+        InvalidInput: if ``digits`` is negative, or if the result has more
+            digits than the interpreter prints.
     """
+    if digits < 0:
+        raise InvalidInput("the number of decimal digits must be nonnegative")
     scale = 10**digits
     scaled = round(value * scale)
     sign = "-" if scaled < 0 else ""

@@ -74,6 +74,14 @@ def test_trailing_zeros_trimmed():
     assert QPolyU([Quaternion.zero()]).is_zero
 
 
+@pytest.mark.parametrize("terms", [{0: 5}, {0: 5, 1: 3}, {}])
+def test_qpolyu_rejects_a_mapping(terms):
+    # Iterating a dict yields its keys, which would be read as coefficients:
+    # {0: 5} would build the zero polynomial and {0: 5, 1: 3} the variable u.
+    with pytest.raises(TypeError):
+        QPolyU(terms)
+
+
 def test_monomial_products():
     assert QPolyU.monomial(I, 1) * QPolyU.monomial(J, 1) == QPolyU.monomial(K, 2)
     assert (UU * I) * (UU * J) == QPolyUV.monomial(K, 2, 0)

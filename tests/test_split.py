@@ -3,12 +3,15 @@
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from quatsurf import (
     Mat2,
     NotDegenerate,
     PreconditionDegree,
     QPolyUV,
+    QuatsurfError,
     Quaternion,
     SplitCertificate,
     Vec2,
@@ -22,9 +25,9 @@ from quatsurf import (
     swap_rows,
 )
 from quatsurf.quat import I, J, K, ONE
-from quatsurf.split import _apply_move, _case_v_bound, _measure, _slopes
+from quatsurf.split import _apply_move, _drivers, _measure, _slopes, _step
 
-from helpers import rand_qpolyuv, rand_vec2
+from helpers import rand_nonzero_qpolyuv, rand_qpolyuv, rand_vec2, reference_split
 
 U = QPolyUV.var_u()
 V = QPolyUV.var_v()
@@ -104,7 +107,7 @@ def test_split_choices_are_frozen(m, frozen):
 
 
 def test_each_v_step_shrinks_the_measure_of_the_matrix():
-    # The search ranks symmetries by slopes derived without moving the
+    # The search ranks symmetries by drivers derived without moving the
     # matrix; the step it returns must still shrink the measure once applied.
     rng = random.Random(39)
     for _ in range(40):
@@ -114,9 +117,55 @@ def test_each_v_step_shrinks_the_measure_of_the_matrix():
             m = kron(rand_vec2(rng, 2, 0), rand_vec2(rng, 1, 1))
         while all(m.entries()) and any(e.deg_v > 0 for e in m.entries()):
             before = _measure(_slopes(m))
-            for move in _case_v_bound(m):
+            for move in _step(m):
                 m = _apply_move(m, move)
             assert _measure(_slopes(m)) < before
+    # On a v-free matrix the entries drive the same search.
+    v_free_steps = 0
+    for _ in range(40):
+        m = kron(rand_vec2(rng, 2, 0), rand_vec2(rng, 2, 0))
+        while all(m.entries()):
+            before = _measure(_drivers(m))
+            assert before == _measure(e.to_u_poly() for e in m.entries())
+            for move in _step(m):
+                m = _apply_move(m, move)
+            assert _measure(_drivers(m)) < before
+            v_free_steps += 1
+    assert v_free_steps > 40
+
+
+@st.composite
+def split_cases(draw):
+    """v-free and v-linear products, products with zeroed factor slots, or
+    all sixteen support patterns of one polynomial."""
+    rng = draw(st.randoms(use_true_random=False))
+    kind = draw(st.sampled_from(["v-free", "v-linear", "zero-slots", "support"]))
+    if kind == "support":
+        p = rand_nonzero_qpolyuv(rng, 2, 1)
+        return [Mat2(*(p if mask >> i & 1 else ZERO for i in range(4))) for mask in range(16)]
+    max_dv = 0 if kind == "v-free" else 1
+    slots = [rand_qpolyuv(rng, 2, dv) for dv in (0, 0, max_dv, max_dv)]
+    if kind == "zero-slots":
+        mask = draw(st.integers(1, 15))
+        slots = [ZERO if mask >> i & 1 else e for i, e in enumerate(slots)]
+    if draw(st.booleans()):
+        slots = slots[2:] + slots[:2]
+    return [kron(Vec2(*slots[:2]), Vec2(*slots[2:]))]
+
+
+def _outcome(factor, m):
+    try:
+        return factor(m).to_json()
+    except QuatsurfError as exc:
+        return type(exc)
+
+
+@given(split_cases())
+def test_split_matches_the_two_case_reduction(matrices):
+    # Raw certificates, not only their products: the one-game reduction must
+    # take the same steps as the two-game one it replaced.
+    for m in matrices:
+        assert _outcome(split, m) == _outcome(reference_split, m)
 
 # endregion
 

@@ -491,6 +491,8 @@ def test_render_decimal():
     assert render_decimal(Fraction(1, 2), 0) == "0"
     assert render_decimal(Fraction(3, 2), 0) == "2"
     assert render_decimal(Fraction(25, 1000), 2) == "0.02"
+    with pytest.raises(InvalidInput):
+        render_decimal(Fraction(1, 3), -2)
 
 
 def test_export_csv():

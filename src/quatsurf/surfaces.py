@@ -20,8 +20,9 @@ first coordinate axis; ``stereo`` maps (w, x, y, z) to (x, y, z)/(1 - w) and
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 from typing import ClassVar
 
 from .errors import (
@@ -56,9 +57,10 @@ def _scale(a, c: Fraction):
     return tuple(x * c for x in a)
 
 
-def _weights(t: Fraction) -> tuple[Fraction, Fraction]:
-    den = 1 + t * t
-    return (1 - t * t) / den, 2 * t / den
+def _homogeneous(point) -> tuple[tuple[int, ...], int]:
+    """Rational coordinates as integer numerators over their least common denominator."""
+    d = lcm(*(c.denominator for c in point))
+    return tuple(c.numerator * (d // c.denominator) for c in point), d
 
 
 # region circles
@@ -71,11 +73,15 @@ class _Circle:
     The frame vectors must be orthogonal and of equal positive length; that
     length is the radius.  The parametrization covers the whole circle except
     the single point at t = infinity, reachable as ``point_at_infinity()``.
+    The frame is also kept on integers, ``(C, E1, E2)`` per coordinate over
+    one common denominator ``L``, so that ``point`` builds one ``Fraction``
+    per coordinate.
     """
 
     center: tuple[Fraction, ...]
     e1: tuple[Fraction, ...]
     e2: tuple[Fraction, ...]
+    _frame: tuple = field(init=False, repr=False, compare=False)
 
     dim: ClassVar[int]
 
@@ -89,14 +95,24 @@ class _Circle:
             raise InvalidInput("frame vectors must have equal length")
         if not n1:
             raise InvalidInput("frame vectors must be nonzero")
+        nums, den = _homogeneous(self.center + self.e1 + self.e2)
+        dim = self.dim
+        rows = tuple(zip(nums[:dim], nums[dim:2 * dim], nums[2 * dim:]))
+        object.__setattr__(self, "_frame", (rows, den))
 
     @property
     def radius_sq(self) -> Fraction:
         return _dot(self.e1, self.e1)
 
     def point(self, t) -> tuple[Fraction, ...]:
-        c, s = _weights(_coerce(t))
-        return _add(self.center, _add(_scale(self.e1, c), _scale(self.e2, s)))
+        # t = p/q: (C*(p**2 + q**2) + E1*(q**2 - p**2) + E2*2pq) / (L*(p**2 + q**2)).
+        t = _coerce(t)
+        p, q = t.numerator, t.denominator
+        s = p * p + q * q
+        c, sn = q * q - p * p, 2 * p * q
+        rows, den = self._frame
+        d = den * s
+        return tuple(Fraction(x * s + a * c + b * sn, d) for x, a, b in rows)
 
     def point_at_infinity(self) -> tuple[Fraction, ...]:
         return _add(self.center, _scale(self.e1, Fraction(-1)))
@@ -186,7 +202,7 @@ class Quadric4:
 
     def value(self, point4, h=1) -> Fraction:
         """Evaluate the form at an affine sphere point (h defaults to 1)."""
-        vec = tuple(_coerce(c) for c in point4) + (_coerce(h),)
+        vec = _vec(point4, 4) + (_coerce(h),)
         return sum(
             (self.q[i][j] * vec[i] * vec[j] for i in range(5) for j in range(5)),
             Fraction(0),
@@ -260,7 +276,7 @@ def cyclide_implicit(quadric: Quadric4) -> Quartic:
 
 def quartic_value(quartic: Quartic, point3, w=1) -> Fraction:
     """Evaluate a quartic at an affine point (w defaults to 1)."""
-    x, y, z = (_coerce(c) for c in point3)
+    x, y, z = _vec(point3, 3)
     w = _coerce(w)
     total = Fraction(0)
     for (ex, ey, ez, ew), c in quartic.items():
@@ -360,8 +376,9 @@ def stereo(x) -> Point3:
 
     Raises:
         PolePoint: at the pole, where the first coordinate equals 1.
+        InvalidInput: if ``x`` is not a 4-vector.
     """
-    w, p1, p2, p3 = (_coerce(c) for c in x)
+    w, p1, p2, p3 = _vec(x, 4)
     if w == 1:
         raise PolePoint("stereographic projection is undefined at the pole")
     d = 1 - w
@@ -370,7 +387,7 @@ def stereo(x) -> Point3:
 
 def stereo_inv(p) -> Point4:
     """Inverse stereographic projection onto the unit sphere (never the pole)."""
-    x, y, z = (_coerce(c) for c in p)
+    x, y, z = _vec(p, 3)
     n = x * x + y * y + z * z
     d = n + 1
     return ((n - 1) / d, 2 * x / d, 2 * y / d, 2 * z / d)
@@ -383,6 +400,35 @@ def grid_params(n: int) -> list[Fraction]:
     return [Fraction(2 * k - (n - 1), 2) for k in range(n)]
 
 
+def _combine(family: str, a, b) -> Point3 | None:
+    """The surface point made of circle points ``a`` (on alpha) and ``b`` (on beta).
+
+    Both come as integer numerators over one denominator, as ``_homogeneous``
+    gives them.  Family e adds them; family c multiplies them as quaternions,
+    (W, X, Y, Z)/D with D = da*db, and projects to (X, Y, Z)/(D - W), which
+    is None at the pole W == D.
+    """
+    if family == "e":
+        (a0, a1, a2), da = a
+        (b0, b1, b2), db = b
+        d = da * db
+        return (
+            Fraction(a0 * db + b0 * da, d),
+            Fraction(a1 * db + b1 * da, d),
+            Fraction(a2 * db + b2 * da, d),
+        )
+    (a0, a1, a2, a3), da = a
+    (b0, b1, b2, b3), db = b
+    gap = da * db - (a0 * b0 - a1 * b1 - a2 * b2 - a3 * b3)
+    if not gap:
+        return None
+    return (
+        Fraction(a0 * b1 + a1 * b0 + a2 * b3 - a3 * b2, gap),
+        Fraction(a0 * b2 - a1 * b3 + a2 * b0 + a3 * b1, gap),
+        Fraction(a0 * b3 + a1 * b2 - a2 * b1 + a3 * b0, gap),
+    )
+
+
 def coordinate_curve(spec: SurfaceSpec, which: str, fixed, samples, *, mask_poles: bool = False):
     """Sample the curve with one parameter held constant.
 
@@ -391,7 +437,8 @@ def coordinate_curve(spec: SurfaceSpec, which: str, fixed, samples, *, mask_pole
     the points are projected to 3-space; a sample hitting the projection pole
     raises :class:`PolePoint` unless ``mask_poles`` is set, in which case it
     is dropped.  Implicit surfaces carry no parametrization, so family d is
-    rejected.
+    rejected.  The frozen circle is evaluated once, so n samples cost n + 1
+    circle points.
 
     Returns:
         A list of points in 3-space.
@@ -400,19 +447,16 @@ def coordinate_curve(spec: SurfaceSpec, which: str, fixed, samples, *, mask_pole
         raise InvalidInput("'which' must be 'u' or 'v'")
     if spec.family == "d":
         raise UnsupportedFamily("implicit surfaces have no parametric coordinate curves")
-    fixed = _coerce(fixed)
+    frozen, moving = (spec.alpha, spec.beta) if which == "u" else (spec.beta, spec.alpha)
+    held = _homogeneous(frozen.point(fixed))
     out = []
     for t in samples:
-        t = _coerce(t)
-        u, v = (fixed, t) if which == "u" else (t, fixed)
-        if spec.family == "e":
-            out.append(eval_e(spec.alpha, spec.beta, u, v))
-        else:
-            try:
-                out.append(stereo(eval_c(spec.alpha, spec.beta, u, v)))
-            except PolePoint:
-                if not mask_poles:
-                    raise
+        free = _homogeneous(moving.point(t))
+        cell = _combine(spec.family, held, free) if which == "u" else _combine(spec.family, free, held)
+        if cell is not None:
+            out.append(cell)
+        elif not mask_poles:
+            raise PolePoint("stereographic projection is undefined at the pole")
     return out
 
 
@@ -421,7 +465,8 @@ def sample_grid(spec: SurfaceSpec, n: int):
 
     Returns a row-major nested list indexed by (u-sample, v-sample); for
     family c a cell is ``None`` when the product hits the projection pole.
-    Family d has no parametrization and is rejected.
+    Family d has no parametrization and is rejected.  Each circle is
+    evaluated once per parameter, so the grid costs 2n circle points.
     """
     if spec.family == "d":
         raise UnsupportedFamily(
@@ -431,19 +476,9 @@ def sample_grid(spec: SurfaceSpec, n: int):
     if n < 2:
         raise InvalidInput("need at least a 2x2 grid")
     ts = grid_params(n)
-    grid = []
-    for u in ts:
-        row = []
-        for v in ts:
-            if spec.family == "e":
-                row.append(eval_e(spec.alpha, spec.beta, u, v))
-            else:
-                try:
-                    row.append(stereo(eval_c(spec.alpha, spec.beta, u, v)))
-                except PolePoint:
-                    row.append(None)
-        grid.append(row)
-    return grid
+    alphas = [_homogeneous(spec.alpha.point(t)) for t in ts]
+    betas = [_homogeneous(spec.beta.point(t)) for t in ts]
+    return [[_combine(spec.family, a, b) for b in betas] for a in alphas]
 
 
 # endregion
@@ -513,11 +548,15 @@ def render_decimal(value: Fraction, digits: int = 12) -> str:
     Raises:
         InvalidInput: if ``digits`` is negative, or if the result has more
             digits than the interpreter prints.
+        TypeError: if ``value`` is not an int or Fraction.
     """
     if digits < 0:
         raise InvalidInput("the number of decimal digits must be nonnegative")
+    value = _coerce(value)
     scale = 10**digits
-    scaled = round(value * scale)
+    scaled, rest = divmod(value.numerator * scale, value.denominator)
+    if 2 * rest > value.denominator or (2 * rest == value.denominator and scaled % 2):
+        scaled += 1
     sign = "-" if scaled < 0 else ""
     ip, fp = divmod(abs(scaled), scale)
     try:

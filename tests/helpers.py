@@ -18,18 +18,22 @@ from math import lcm
 from quatsurf import (
     Circle3,
     CircleS3,
+    InvalidInput,
     Mat2,
     NoProgress,
     NotDegenerate,
+    PolePoint,
     PreconditionDegree,
     QPolyU,
     QPolyUV,
     Quaternion,
     RPolyUV,
     SplitCertificate,
+    UnsupportedFamily,
     Vec2,
     col_op,
     conj_transpose,
+    grid_params,
     is_degenerate,
     kron,
     left_div_rem,
@@ -38,6 +42,7 @@ from quatsurf import (
     swap_rows,
     v_slices,
 )
+from quatsurf.quat import _coerce
 
 # region random exact values
 
@@ -744,6 +749,116 @@ def reference_split(m: Mat2) -> SplitCertificate:
     if kron(cert.x, cert.y) != m:
         raise NoProgress("internal error: certificate failed verification")
     return cert
+
+
+# endregion
+
+
+# region reference surface sampling in Fraction arithmetic
+
+# The sampling quatsurf.surfaces ran before circle frames were kept on
+# integers: every grid cell and curve sample evaluates both circles from the
+# tan-half-angle weights, multiplies family c points as Quaternion values
+# and projects them.  Kept verbatim, with each circle point taken from
+# ``reference_circle_point``, as oracles for the integer path.
+
+
+def _reference_weights(t: Fraction) -> tuple[Fraction, Fraction]:
+    den = 1 + t * t
+    return (1 - t * t) / den, 2 * t / den
+
+
+def _reference_add(a, b):
+    return tuple(x + y for x, y in zip(a, b))
+
+
+def _reference_scale(a, c: Fraction):
+    return tuple(x * c for x in a)
+
+
+def reference_circle_point(circle, t) -> tuple[Fraction, ...]:
+    """``circle.point(t)``: center + e1*(1 - t**2)/(1 + t**2) + e2*2t/(1 + t**2)."""
+    c, s = _reference_weights(_coerce(t))
+    return _reference_add(circle.center, _reference_add(_reference_scale(circle.e1, c), _reference_scale(circle.e2, s)))
+
+
+def _reference_eval_e(alpha, beta, u, v):
+    return _reference_add(reference_circle_point(alpha, u), reference_circle_point(beta, v))
+
+
+def _reference_eval_c(alpha, beta, u, v):
+    a = Quaternion(*reference_circle_point(alpha, u))
+    b = Quaternion(*reference_circle_point(beta, v))
+    return (a * b).components()
+
+
+def _reference_stereo(x):
+    w, p1, p2, p3 = (_coerce(c) for c in x)
+    if w == 1:
+        raise PolePoint("stereographic projection is undefined at the pole")
+    d = 1 - w
+    return (p1 / d, p2 / d, p3 / d)
+
+
+def reference_coordinate_curve(spec, which: str, fixed, samples, *, mask_poles: bool = False):
+    """``coordinate_curve``: both circles evaluated afresh for every sample."""
+    if which not in ("u", "v"):
+        raise InvalidInput("'which' must be 'u' or 'v'")
+    if spec.family == "d":
+        raise UnsupportedFamily("implicit surfaces have no parametric coordinate curves")
+    fixed = _coerce(fixed)
+    out = []
+    for t in samples:
+        t = _coerce(t)
+        u, v = (fixed, t) if which == "u" else (t, fixed)
+        if spec.family == "e":
+            out.append(_reference_eval_e(spec.alpha, spec.beta, u, v))
+        else:
+            try:
+                out.append(_reference_stereo(_reference_eval_c(spec.alpha, spec.beta, u, v)))
+            except PolePoint:
+                if not mask_poles:
+                    raise
+    return out
+
+
+def reference_sample_grid(spec, n: int):
+    """``sample_grid``: both circles evaluated afresh for every cell."""
+    if spec.family == "d":
+        raise UnsupportedFamily(
+            "implicit surfaces cannot be sampled on a parameter grid; "
+            "export the quartic instead"
+        )
+    if n < 2:
+        raise InvalidInput("need at least a 2x2 grid")
+    ts = grid_params(n)
+    grid = []
+    for u in ts:
+        row = []
+        for v in ts:
+            if spec.family == "e":
+                row.append(_reference_eval_e(spec.alpha, spec.beta, u, v))
+            else:
+                try:
+                    row.append(_reference_stereo(_reference_eval_c(spec.alpha, spec.beta, u, v)))
+                except PolePoint:
+                    row.append(None)
+        grid.append(row)
+    return grid
+
+
+def reference_render_decimal(value: Fraction, digits: int = 12) -> str:
+    """``render_decimal`` by rounding ``value * 10**digits`` as a Fraction, half to even."""
+    if digits < 0:
+        raise InvalidInput("the number of decimal digits must be nonnegative")
+    scale = 10**digits
+    scaled = round(value * scale)
+    sign = "-" if scaled < 0 else ""
+    ip, fp = divmod(abs(scaled), scale)
+    try:
+        return f"{sign}{ip}.{str(fp).zfill(digits)}" if digits else f"{sign}{ip}"
+    except ValueError:
+        raise InvalidInput("a decimal has too many digits to print") from None
 
 
 # endregion

@@ -35,7 +35,18 @@ from quatsurf import (
     stereo_inv,
 )
 
-from helpers import rand_circle3, rand_circle_s3, rand_fraction, reference_circle_or_line
+from helpers import (
+    rand_circle3,
+    rand_circle_s3,
+    rand_fraction,
+    reference_circle_or_line,
+    reference_circle_point,
+    reference_coordinate_curve,
+    reference_render_decimal,
+    reference_sample_grid,
+    rotate3,
+    rotate4,
+)
 
 XY_CIRCLE = Circle3((0, 0, 0), (1, 0, 0), (0, 1, 0))
 XZ_CIRCLE = Circle3((0, 0, 0), (1, 0, 0), (0, 0, 1))
@@ -129,6 +140,39 @@ def test_circle_s3_points_have_unit_norm():
         assert sum(c * c for c in circle.point_at_infinity()) == 1
 
 
+def wide_fraction(rng: random.Random) -> Fraction:
+    """A rational of size up to 50 with a denominator of up to three digits."""
+    return Fraction(rng.randint(-50_000, 50_000), rng.randint(1, 999))
+
+
+def wide_circle(rng: random.Random, on_sphere: bool):
+    """A random Circle3, or CircleS3 if ``on_sphere``, built from 3-digit-denominator data."""
+    q = Quaternion(*stereo_inv(tuple(wide_fraction(rng) for _ in range(3))))
+    s = wide_fraction(rng) or Fraction(1, 999)
+    if not on_sphere:
+        center = tuple(wide_fraction(rng) for _ in range(3))
+        return Circle3(center, rotate3(q, (s, 0, 0)), rotate3(q, (0, s, 0)))
+    p = Quaternion(*stereo_inv(tuple(wide_fraction(rng) for _ in range(3))))
+    c, r = (1 - s * s) / (1 + s * s), 2 * s / (1 + s * s)
+    return CircleS3(rotate4(p, q, (c, 0, 0, 0)), rotate4(p, q, (0, r, 0, 0)), rotate4(p, q, (0, 0, r, 0)))
+
+
+seeds = st.randoms(use_true_random=False)
+wide_params = st.one_of(st.fractions(min_value=-50, max_value=50, max_denominator=999), st.integers(-1000, 1000))
+
+
+@given(seeds, st.booleans(), wide_params)
+def test_circle_point_matches_fraction_reference(rng, on_sphere, t):
+    circle = wide_circle(rng, on_sphere)
+    assert circle.point(t) == reference_circle_point(circle, t)
+    assert all(type(c) is Fraction for c in circle.point(t))
+
+
+def test_circle_integer_frame_stays_out_of_equality_and_repr():
+    again = Circle3(XY_CIRCLE.center, XY_CIRCLE.e1, XY_CIRCLE.e2)
+    assert again == XY_CIRCLE and hash(again) == hash(XY_CIRCLE)
+    assert "_frame" not in repr(XY_CIRCLE)
+
 
 def test_circles_reject_float_coordinates():
     with pytest.raises(TypeError):
@@ -149,9 +193,11 @@ def test_circles_reject_float_coordinates():
         lambda: stereo_inv((0.5, 0, 0)),
         lambda: quartic_value(TORUS_QUARTIC, (0.5, 0, 0)),
         lambda: TORUS_QUADRIC.value((0.5, 0, 0, 0)),
+        lambda: render_decimal(0.1, 3),
+        lambda: export_csv([[(Fraction(1), 0.5, Fraction(0))]]),
     ],
     ids=["sparse-eval", "u-eval", "rpoly-div", "circle-point", "coordinate-curve", "stereo",
-         "stereo-inv", "quartic-value", "quadric-value"],
+         "stereo-inv", "quartic-value", "quadric-value", "render-decimal", "export-csv"],
 )
 def test_float_arguments_are_rejected(call):
     # 0.1 is not exact; it would silently become 3602879701896397/36028797018963968.
@@ -233,6 +279,28 @@ def test_quadric_rejects_float_entries():
     rows[1][1] = -4.0
     with pytest.raises(TypeError):
         Quadric4(tuple(tuple(r) for r in rows))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: TORUS_QUADRIC.value((1, 0, 0, 0, 7)),
+        lambda: TORUS_QUADRIC.value((1, 0, 0)),
+        lambda: stereo((0, 0, 0)),
+        lambda: stereo((0, 0, 0, 0, 0)),
+        lambda: stereo_inv((0, 0)),
+        lambda: stereo_inv((0, 0, 0, 0)),
+        lambda: quartic_value(TORUS_QUARTIC, (0, 0)),
+        lambda: quartic_value(TORUS_QUARTIC, (0, 0, 0, 0)),
+    ],
+    ids=["quadric-value-5", "quadric-value-3", "stereo-3", "stereo-5", "stereo-inv-2", "stereo-inv-4",
+         "quartic-value-2", "quartic-value-4"],
+)
+def test_points_of_the_wrong_length_are_rejected(call):
+    # A fifth entry used to stand in for h, and a short point to end in IndexError.
+    with pytest.raises(InvalidInput):
+        call()
+
 
 def test_quadric_rejects_sphere_multiples():
     for scale in (1, -2, Fraction(1, 3)):
@@ -335,6 +403,74 @@ def test_sample_grid_family_c_masks_poles():
     # alpha(t) * beta(-t) = 1: the antidiagonal of the 3x3 grid is masked.
     masked = [(i, j) for i in range(3) for j in range(3) if grid[i][j] is None]
     assert masked == [(0, 2), (1, 1), (2, 0)]
+    assert grid == reference_sample_grid(spec, 3)
+
+
+@st.composite
+def sampled_specs(draw):
+    """Family e or c specs from wide circles, or a family c spec through the pole."""
+    rng = draw(seeds)
+    kind = draw(st.sampled_from(["e", "c", "c-great", "c-great-beta"]))
+    if kind == "e":
+        return SurfaceSpec.family_e(wide_circle(rng, False), wide_circle(rng, False))
+    if kind == "c":
+        return SurfaceSpec.family_c(wide_circle(rng, True), wide_circle(rng, True))
+    # On the great circle alpha(t) * beta(-t) = 1, so "c-great" curves and grids hit the pole.
+    beta = GREAT_CIRCLE if kind == "c-great" else wide_circle(rng, True)
+    return SurfaceSpec.family_c(GREAT_CIRCLE, beta)
+
+
+def _outcome(fn, *args, **kwargs):
+    try:
+        return fn(*args, **kwargs)
+    except PolePoint as exc:
+        return type(exc)
+
+
+@given(
+    sampled_specs(),
+    st.sampled_from("uv"),
+    wide_params,
+    st.lists(st.one_of(fractions, st.integers(-5, 5)), max_size=8),
+    st.booleans(),
+    st.data(),
+)
+def test_coordinate_curve_matches_fraction_reference(spec, which, fixed, samples, mask_poles, data):
+    if data.draw(st.booleans()):
+        samples.insert(data.draw(st.integers(0, len(samples))), -fixed)
+    args = (spec, which, fixed, samples)
+    assert _outcome(coordinate_curve, *args, mask_poles=mask_poles) == _outcome(
+        reference_coordinate_curve, *args, mask_poles=mask_poles
+    )
+
+
+@given(sampled_specs(), st.integers(2, 7))
+def test_sample_grid_matches_fraction_reference(spec, n):
+    assert sample_grid(spec, n) == reference_sample_grid(spec, n)
+
+
+@pytest.mark.parametrize("family", ["e", "c"])
+def test_each_circle_is_evaluated_once_per_parameter(monkeypatch, family):
+    rng = random.Random(56)
+    if family == "e":
+        spec = SurfaceSpec.family_e(rand_circle3(rng), rand_circle3(rng))
+    else:
+        spec = SurfaceSpec.family_c(rand_circle_s3(rng), rand_circle_s3(rng))
+    calls = []
+    for cls in (Circle3, CircleS3):
+        def counted(self, t, point=cls.point):
+            calls.append(t)
+            return point(self, t)
+
+        monkeypatch.setattr(cls, "point", counted)
+    for n in (2, 5, 24):
+        calls.clear()
+        sample_grid(spec, n)
+        assert len(calls) == 2 * n
+    for which in ("u", "v"):
+        calls.clear()
+        coordinate_curve(spec, which, Fraction(1, 2), grid_params(9), mask_poles=True)
+        assert len(calls) == 9 + 1
 
 
 def test_sample_grid_rejects_family_d_and_tiny_grids():
@@ -493,6 +629,22 @@ def test_render_decimal():
     assert render_decimal(Fraction(25, 1000), 2) == "0.02"
     with pytest.raises(InvalidInput):
         render_decimal(Fraction(1, 3), -2)
+
+
+@given(
+    st.one_of(st.fractions(), st.integers(-10**20, 10**20), st.fractions(max_denominator=10**6)),
+    st.integers(0, 15),
+)
+def test_render_decimal_matches_fraction_reference(value, digits):
+    assert render_decimal(value, digits) == reference_render_decimal(value, digits)
+
+
+@given(st.integers(-10**6, 10**6), st.integers(0, 15))
+def test_render_decimal_ties_match_fraction_reference(k, digits):
+    # (2k + 1) / (2 * 10**digits) lies exactly halfway between two printable decimals.
+    value = Fraction(2 * k + 1, 2 * 10**digits)
+    assert render_decimal(value, digits) == reference_render_decimal(value, digits)
+    assert render_decimal(-value, digits) == reference_render_decimal(-value, digits)
 
 
 def test_export_csv():

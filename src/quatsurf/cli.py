@@ -12,8 +12,8 @@ Subcommands:
 All exact data travels as JSON with rationals rendered as "p/q" strings; the
 mesh exports are the one place decimals appear, with the digit count under a
 flag.  Outputs are deterministic for fixed inputs: nothing is timestamped and
-nothing is random.  Exit codes: 0 on success, 1 on a domain error with a
-one-line JSON diagnostic on standard error, 2 on a usage error.
+nothing is random.  Exit codes: 0 on success, 1 on a domain error and 2 on
+a usage error, each with a one-line JSON diagnostic on standard error.
 """
 
 from __future__ import annotations
@@ -63,6 +63,16 @@ def _emit(payload: str, out_path: str | None) -> None:
         return
     with open(out_path, "w", encoding="utf-8") as handle:
         handle.write(payload)
+
+
+def _diagnostic(error: str, message: str) -> str:
+    return json.dumps({"error": error, "message": message}, sort_keys=True) + "\n"
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        """A usage error: exit 2 with a one-line JSON diagnostic on standard error."""
+        self.exit(2, _diagnostic("UsageError", message))
 
 
 def _int_at_least(lo: int):
@@ -179,7 +189,7 @@ def _add_out(parser: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="quatsurf",
         description="exact quaternion polynomial factorization and circle-woven surfaces",
     )
@@ -245,12 +255,10 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (QuatsurfError, ZeroDivisionError) as exc:
-        diagnostic = {"error": type(exc).__name__, "message": str(exc) or "division by zero"}
-        sys.stderr.write(json.dumps(diagnostic, sort_keys=True) + "\n")
+        sys.stderr.write(_diagnostic(type(exc).__name__, str(exc) or "division by zero"))
         return 1
     except OSError as exc:
-        diagnostic = {"error": "OSError", "message": str(exc)}
-        sys.stderr.write(json.dumps(diagnostic, sort_keys=True) + "\n")
+        sys.stderr.write(_diagnostic("OSError", str(exc)))
         return 1
 
 

@@ -45,16 +45,8 @@ def _vec(values, size: int) -> tuple[Fraction, ...]:
     return out
 
 
-def _dot(a, b) -> Fraction:
-    return sum((x * y for x, y in zip(a, b)), Fraction(0))
-
-
-def _add(a, b):
-    return tuple(x + y for x, y in zip(a, b))
-
-
-def _scale(a, c: Fraction):
-    return tuple(x * c for x in a)
+def _dot(a, b):
+    return sum(x * y for x, y in zip(a, b))
 
 
 def _homogeneous(point) -> tuple[tuple[int, ...], int]:
@@ -115,7 +107,7 @@ class _Circle:
         return tuple(Fraction(x * s + a * c + b * sn, d) for x, a, b in rows)
 
     def point_at_infinity(self) -> tuple[Fraction, ...]:
-        return _add(self.center, _scale(self.e1, Fraction(-1)))
+        return tuple(c - e for c, e in zip(self.center, self.e1))
 
     def to_json(self) -> dict:
         return {name: [rational_to_str(c) for c in getattr(self, name)] for name in ("center", "e1", "e2")}
@@ -358,7 +350,7 @@ class SurfaceSpec:
 
 def eval_e(alpha: Circle3, beta: Circle3, u, v) -> Point3:
     """Translational surface point ``alpha(u) + beta(v)``."""
-    return _add(alpha.point(u), beta.point(v))
+    return tuple(a + b for a, b in zip(alpha.point(u), beta.point(v)))
 
 
 def eval_c(alpha: CircleS3, beta: CircleS3, u, v) -> Point4:
@@ -486,10 +478,6 @@ def sample_grid(spec: SurfaceSpec, n: int):
 # region circle recognition
 
 
-def _sub(a, b):
-    return tuple(x - y for x, y in zip(a, b))
-
-
 def _cross(a, b):
     return (
         a[1] * b[2] - a[2] * b[1],
@@ -501,38 +489,42 @@ def _cross(a, b):
 def is_circle_or_line(points) -> bool:
     """Whether all points lie on one circle or one straight line.
 
-    Exact and linear in the number of points.  The first two points and the
-    first point not collinear with them span a plane with normal ``n`` and
-    have a rational circumcenter ``c``; a point ``p`` passes when
-    ``(p - p0) . n == 0`` and ``|p - c|**2 == |p0 - c|**2``, and the answer
-    is True only when every point passes.  When no such third point exists
-    the points are collinear and the answer is True.
+    Exact and linear in the number of points, on integers: each point is
+    validated once and put over its least common denominator, and no
+    ``Fraction`` is built after that.  The first two points and the first
+    point not collinear with them span a plane with normal ``n`` and have a
+    circumcenter ``c``.  With ``p - p0 = r/s`` and ``c - p0 = W/M``, a point
+    passes when ``r . n == 0`` and ``M |r|**2 == 2 s (r . W)``, which is
+    ``|p - c|**2 == |p0 - c|**2``; the answer is True only when every point
+    passes.  When no such third point exists the points are collinear and
+    the answer is True.
 
     Raises:
         TooFewPoints: with fewer than five pairwise distinct points.
         InvalidInput: if a point is not a 3-vector.
     """
-    pts = [_vec(p, 3) for p in points]
+    pts = [_homogeneous(_vec(p, 3)) for p in points]
     if len(pts) < 5 or len(set(pts)) != len(pts):
         raise TooFewPoints("need at least five pairwise distinct points")
-    p0 = pts[0]
-    a = _sub(pts[1], p0)
-    for p in pts[2:]:
-        b = _sub(p, p0)
+    (x0, y0, z0), d0 = pts[0]
+    rel = [((x * d0 - x0 * d, y * d0 - y0 * d, z * d0 - z0 * d), d0 * d) for (x, y, z), d in pts]
+    a, sa = rel[1]
+    for b, sb in rel[2:]:
         n = _cross(a, b)
         if any(n):
             break
     else:
         return True
-    # Circumcenter of p0, p0 + a, p0 + b:
-    # c = p0 + (|a|**2 (b x n) + |b|**2 (n x a)) / (2 |n|**2).
-    w = _add(_scale(_cross(b, n), _dot(a, a)), _scale(_cross(n, a), _dot(b, b)))
-    c = _add(p0, _scale(w, 1 / (2 * _dot(n, n))))
-    r = _sub(p0, c)
-    radius_sq = _dot(r, r)
-    for p in pts:
-        d = _sub(p, c)
-        if _dot(_sub(p, p0), n) or _dot(d, d) != radius_sq:
+    # Circumcenter of p0, p0 + a/sa, p0 + b/sb, relative to p0:
+    # c - p0 = (|a|**2 sb (b x n) + |b|**2 sa (n x a)) / (2 |n|**2 sa sb).
+    ka, kb = _dot(a, a) * sb, _dot(b, b) * sa
+    wx, wy, wz = (ka * u + kb * v for u, v in zip(_cross(b, n), _cross(n, a)))
+    m = 2 * _dot(n, n) * sa * sb
+    nx, ny, nz = n
+    for (rx, ry, rz), s in rel:
+        if rx * nx + ry * ny + rz * nz or (
+            m * (rx * rx + ry * ry + rz * rz) != 2 * s * (rx * wx + ry * wy + rz * wz)
+        ):
             return False
     return True
 

@@ -29,6 +29,7 @@ from quatsurf import (
     Quaternion,
     RPolyUV,
     SplitCertificate,
+    TooFewPoints,
     UnsupportedFamily,
     Vec2,
     col_op,
@@ -859,6 +860,69 @@ def reference_render_decimal(value: Fraction, digits: int = 12) -> str:
         return f"{sign}{ip}.{str(fp).zfill(digits)}" if digits else f"{sign}{ip}"
     except ValueError:
         raise InvalidInput("a decimal has too many digits to print") from None
+
+
+# endregion
+
+
+# region reference circle recognition in Fraction arithmetic
+
+# The O(n) circle test quatsurf.surfaces ran before it moved to integer
+# numerators: plane normal and circumcenter as Fraction vectors, one plane
+# test and one distance test per point.  Kept verbatim as an oracle.
+
+
+def _reference_vec(values, size: int) -> tuple[Fraction, ...]:
+    out = tuple(_coerce(c) for c in values)
+    if len(out) != size:
+        raise InvalidInput(f"expected a {size}-vector")
+    return out
+
+
+def _reference_dot(a, b) -> Fraction:
+    return sum((x * y for x, y in zip(a, b)), Fraction(0))
+
+
+def _reference_sub(a, b):
+    return tuple(x - y for x, y in zip(a, b))
+
+
+def _reference_cross(a, b):
+    return (
+        a[1] * b[2] - a[2] * b[1],
+        a[2] * b[0] - a[0] * b[2],
+        a[0] * b[1] - a[1] * b[0],
+    )
+
+
+def reference_plane_circumcenter(points) -> bool:
+    """``is_circle_or_line``: plane test and circumcenter test in Fractions."""
+    pts = [_reference_vec(p, 3) for p in points]
+    if len(pts) < 5 or len(set(pts)) != len(pts):
+        raise TooFewPoints("need at least five pairwise distinct points")
+    p0 = pts[0]
+    a = _reference_sub(pts[1], p0)
+    for p in pts[2:]:
+        b = _reference_sub(p, p0)
+        n = _reference_cross(a, b)
+        if any(n):
+            break
+    else:
+        return True
+    # Circumcenter of p0, p0 + a, p0 + b:
+    # c = p0 + (|a|**2 (b x n) + |b|**2 (n x a)) / (2 |n|**2).
+    w = _reference_add(
+        _reference_scale(_reference_cross(b, n), _reference_dot(a, a)),
+        _reference_scale(_reference_cross(n, a), _reference_dot(b, b)),
+    )
+    c = _reference_add(p0, _reference_scale(w, 1 / (2 * _reference_dot(n, n))))
+    r = _reference_sub(p0, c)
+    radius_sq = _reference_dot(r, r)
+    for p in pts:
+        d = _reference_sub(p, c)
+        if _reference_dot(_reference_sub(p, p0), n) or _reference_dot(d, d) != radius_sq:
+            return False
+    return True
 
 
 # endregion

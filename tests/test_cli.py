@@ -287,28 +287,41 @@ def test_wrong_shape_is_clean_error(tmp_path, capsys):
     assert json.loads(err)["error"] == "InvalidInput"
 
 
+def assert_usage_error(result):
+    """Exit 2, nothing on stdout, one JSON line on stderr."""
+    rc, out, err = result
+    assert rc == 2 and out == ""
+    assert len(err.splitlines()) == 1
+    assert json.loads(err)["error"] == "UsageError"
+
+
 def test_usage_errors_exit_2(capsys):
-    assert run(capsys, "split")[0] == 2
-    assert run(capsys, "no-such-command")[0] == 2
-    assert run(capsys)[0] == 2
-    assert run(capsys, "gen-surface", "--family", "q", "--spec", "x")[0] == 2
+    assert_usage_error(run(capsys, "split"))
+    assert_usage_error(run(capsys, "no-such-command"))
+    assert_usage_error(run(capsys))
+    assert_usage_error(run(capsys, "gen-surface", "--family", "q", "--spec", "x"))
+    assert_usage_error(run(capsys, "split", "--in", "m.json", "--no-such-flag"))
+
+
+def test_help_is_not_a_usage_error(capsys):
+    for argv in ((), ("split",), ("check-circles",)):
+        rc, out, err = run(capsys, *argv, "--help")
+        assert rc == 0 and out.startswith("usage: quatsurf") and err == ""
 
 
 def test_negative_digits_is_usage_error(e_spec_file, capsys):
-    rc, out, _ = run(
+    assert_usage_error(run(
         capsys, "gen-surface", "--family", "e", "--spec", e_spec_file,
         "--format", "csv", "--digits", "-2",
-    )
-    assert rc == 2 and out == ""
+    ))
 
 
 def test_too_few_samples_is_usage_error(e_spec_file, capsys):
     # Below five samples no curve can be checked, so no report may claim success.
-    rc, out, _ = run(
+    assert_usage_error(run(
         capsys, "check-circles", "--family", "e", "--spec", e_spec_file,
         "--samples", "3", "--curves", "1",
-    )
-    assert rc == 2 and out == ""
+    ))
     rc, out, _ = run(capsys, "check-circles", "--family", "e", "--spec", e_spec_file, "--samples", "5")
     assert rc == 0 and json.loads(out)["all_pass"] is True
 
@@ -319,8 +332,7 @@ def test_too_few_samples_is_usage_error(e_spec_file, capsys):
     ids=["grid", "curves"],
 )
 def test_grid_and_curve_counts_are_usage_errors(e_spec_file, capsys, argv):
-    rc, out, _ = run(capsys, *argv, "--spec", e_spec_file)
-    assert rc == 2 and out == ""
+    assert_usage_error(run(capsys, *argv, "--spec", e_spec_file))
 
 
 def test_deeply_nested_json_is_clean_error(tmp_path, capsys):
@@ -370,6 +382,10 @@ def test_module_entry_point(tmp_path):
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout) == {"degenerate": False}
+    proc = subprocess.run([sys.executable, "-m", "quatsurf.cli", "split"], capture_output=True, text=True)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert len(proc.stderr.splitlines()) == 1
+    assert json.loads(proc.stderr)["error"] == "UsageError"
 
 
 # Arbitrary small JSON documents for every subcommand: a valid document of

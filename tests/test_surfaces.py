@@ -41,6 +41,7 @@ from helpers import (
     rand_fraction,
     reference_circle_or_line,
     reference_circle_point,
+    reference_plane_circumcenter,
     reference_coordinate_curve,
     reference_render_decimal,
     reference_sample_grid,
@@ -611,6 +612,97 @@ def curve_points(draw):
 @given(curve_points())
 def test_circle_recognition_matches_exhaustive_reference(points):
     assert is_circle_or_line(points) == reference_circle_or_line(points)
+
+
+def _circle_outcome(check, points):
+    """The answer, or the class of the documented error it raised."""
+    try:
+        return check(points)
+    except (TooFewPoints, InvalidInput, TypeError) as exc:
+        return type(exc)
+
+
+@st.composite
+def weave_curves(draw):
+    """Coordinate curves of 5 to 64 samples as ``weave`` checks them, some moved or spoiled.
+
+    Family e and projected family c curves carry denominators of about ten
+    to fifteen digits.  Lines put their first non-collinear point after
+    several collinear ones.
+    """
+    rng = draw(st.randoms(use_true_random=False))
+    size = draw(st.integers(5, 64))
+    kind = draw(st.sampled_from(["e", "c", "line"]))
+    if kind == "line":
+        base = tuple(rand_fraction(rng) for _ in range(3))
+        direction = tuple(rand_fraction(rng) for _ in range(3))
+        assume(any(direction))
+        points = [tuple(b + t * d for b, d in zip(base, direction)) for t in grid_params(size)]
+        k = draw(st.integers(2, size - 1))
+        points[k] = tuple(a + rand_fraction(rng) for a in points[k])
+    else:
+        make = SurfaceSpec.family_e if kind == "e" else SurfaceSpec.family_c
+        circle = rand_circle3 if kind == "e" else rand_circle_s3
+        spec = make(circle(rng), circle(rng))
+        which = draw(st.sampled_from("uv"))
+        points = coordinate_curve(spec, which, rand_fraction(rng), grid_params(size), mask_poles=True)
+    move = draw(st.sampled_from([None, None, None, "off-plane", "chord"]))
+    if move and len(points) >= 2:
+        i, j = rng.sample(range(len(points)), 2)
+        if move == "off-plane":
+            points[i] = tuple(a + rand_fraction(rng) for a in points[i])
+        else:
+            points = _chord_move(points, i, j, rand_fraction(rng))
+    spoil = draw(st.sampled_from([None] * 5 + ["duplicate", "4-vector", "float"]))
+    if spoil and points:
+        i = rng.randrange(len(points))
+        if spoil == "duplicate":
+            points.append(points[i])
+        elif spoil == "4-vector":
+            points[i] = (*points[i], 0)
+        else:
+            points[i] = (0.5, *points[i][1:])
+    return points
+
+
+@given(weave_curves())
+def test_circle_recognition_matches_fraction_reference(points):
+    assert _circle_outcome(is_circle_or_line, points) == _circle_outcome(reference_plane_circumcenter, points)
+
+
+def test_circle_recognition_sees_a_tiny_move_on_large_denominators():
+    rng = random.Random(55)
+    spec = SurfaceSpec.family_c(rand_circle_s3(rng), rand_circle_s3(rng))
+    points = coordinate_curve(spec, "u", Fraction(2, 3), grid_params(9), mask_poles=True)
+    assert max(c.denominator for p in points for c in p) > 10**9
+    assert is_circle_or_line(points)
+    eps = Fraction(1, 10**30)
+    for moved in (
+        [points[0], points[1], (points[2][0] + eps, *points[2][1:]), *points[3:]],
+        _chord_move(points, 4, 5, eps),
+    ):
+        assert not is_circle_or_line(moved)
+        assert not reference_plane_circumcenter(moved)
+
+
+def test_circle_recognition_rejects_one_point_off_a_line():
+    line = [(0, 0, 0), (1, 0, 0), (2, 0, 0), (3, 0, 0)]
+    assert not is_circle_or_line([*line, (0, 1, 0)])
+    assert not is_circle_or_line([*line[:2], (5, 0, 1), *line[2:]])
+
+
+def test_circle_recognition_equal_mixed_points_are_duplicates():
+    points = [(1, 0, 0), (0, 1, 0), (-1, 0, 0), (0, -1, 0), (Fraction(3, 5), Fraction(4, 5), 0)]
+    with pytest.raises(TooFewPoints):
+        is_circle_or_line([*points, (Fraction(2, 2), 0, 0)])
+    with pytest.raises(TooFewPoints):
+        is_circle_or_line([*points, (Fraction(6, 10), Fraction(8, 10), Fraction(0, 3))])
+
+
+def test_circle_recognition_rejects_a_4_vector():
+    points = [(1, 0, 0), (0, 1, 0), (-1, 0, 0), (0, -1, 0), (Fraction(3, 5), Fraction(4, 5), 0, 0)]
+    with pytest.raises(InvalidInput):
+        is_circle_or_line(points)
 
 
 # endregion

@@ -86,14 +86,17 @@ def _combine(p: dict, q: dict, sign: int) -> dict:
     return out
 
 
-def _qmul(p: dict, q: dict) -> dict:
-    """Product of quaternion term maps with ``p`` on the left.
+def _qmul(p: dict, q: dict, acc: dict | None = None, sign: int = 1) -> dict:
+    """``acc + sign*(p*q)`` on quaternion term maps, with ``p`` on the left.
 
-    Integers accumulate per exponent pair, over the product of the two
-    denominators or, where those differ between pairs, their lcm; each
-    output coefficient is then reduced by its gcd once.
+    Integers accumulate per exponent pair, starting from ``acc`` (empty by
+    default), over the product of the two denominators or, where those differ
+    between terms, their lcm; each output coefficient is then reduced by its
+    gcd once, so a fused ``a - b*c`` costs one pass and one canonicalization.
     """
-    out: dict = {}
+    if sign < 0:
+        p = {key: _neg(c) for key, c in p.items()}
+    out: dict = {} if acc is None else dict(acc)
     get = out.get
     for (u1, v1), (a0, a1, a2, a3, da) in p.items():
         for (u2, v2), (b0, b1, b2, b3, db) in q.items():
@@ -121,9 +124,11 @@ def _qmul(p: dict, q: dict) -> dict:
     return res
 
 
-def _rmul(p: dict, q: dict) -> dict:
-    """Product of rational term maps, accumulated as :func:`_qmul` does."""
-    out: dict = {}
+def _rmul(p: dict, q: dict, acc: dict | None = None, sign: int = 1) -> dict:
+    """``acc + sign*(p*q)`` on rational term maps, accumulated as :func:`_qmul` does."""
+    if sign < 0:
+        p = {key: _neg(c) for key, c in p.items()}
+    out: dict = {} if acc is None else dict(acc)
     get = out.get
     for (u1, v1), (a, da) in p.items():
         for (u2, v2), (b, db) in q.items():
@@ -192,9 +197,10 @@ class _SparseUV:
     immutable values; term maps may be shared between them and are never
     changed.  A subclass fixes the coefficient ring with class attributes:
     ``_to_ints`` turns an accepted scalar into a tuple (raising ``TypeError``
-    otherwise), ``_value`` turns a tuple back into a value, ``_mul`` is the
-    product of term maps, ``_scalars`` lists the scalar types that arithmetic
-    promotes to constants, ``_zero`` is the zero coefficient, and ``_encode``
+    otherwise), ``_value`` turns a tuple back into a value, ``_mul(p, q,
+    acc, sign)`` is the fused ``acc + sign*(p*q)`` on term maps, ``_scalars``
+    lists the scalar types that arithmetic promotes to constants, ``_zero``
+    is the zero coefficient, and ``_encode``
     (from a tuple) and ``_decode`` (to a value) are the coefficient JSON codec.  Each subclass
     binds ``__mul__``, ``__rmul__`` and any ``from_json`` in its own body,
     because ``bench/tracer.py`` wraps them from the subclass's own ``__dict__``.
@@ -325,6 +331,10 @@ class _SparseUV:
             return self._raw(self._mul(self.const(other)._ints, self._ints))
         return NotImplemented
 
+    def _add_mul(self, b, c, sign: int = 1):
+        """``self + sign*(b*c)`` for polynomials of this type, in one fused pass."""
+        return self._raw(self._mul(b._ints, c._ints, self._ints, sign))
+
     def eval(self, u0, v0):
         """Evaluate at a rational point."""
         u0, v0 = _coerce_rational(u0), _coerce_rational(v0)
@@ -427,6 +437,13 @@ def v_slices(p: QPolyUV) -> tuple["QPolyU", "QPolyU"]:
     return QPolyU._raw(slices[1]), QPolyU._raw(slices[0])
 
 
+def _from_v_slices(p1: "QPolyU", p0: "QPolyU") -> QPolyUV:
+    """``p1(u)*v + p0(u)``: the inverse of :func:`v_slices`."""
+    ints = {(du, 1): c for (du, _), c in p1._ints.items()}
+    ints.update(p0._ints)
+    return QPolyUV._raw(ints)
+
+
 # endregion
 
 # region univariate
@@ -522,7 +539,7 @@ def _div_rem(a: QPolyU, b: QPolyU, left: bool) -> tuple[QPolyU, QPolyU]:
         c = {(top - db, 0): r[(top, 0)]}
         c = _qmul(inv, c) if left else _qmul(c, inv)
         q.update(c)
-        r = _combine(r, _qmul(bt, c) if left else _qmul(c, bt), -1)
+        r = _qmul(bt, c, r, -1) if left else _qmul(c, bt, r, -1)
     return QPolyU._raw(q), QPolyU._raw(r)
 
 

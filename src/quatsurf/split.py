@@ -14,10 +14,16 @@ themselves once the matrix is v-free: a symmetry is chosen that puts a
 nonzero driver of minimal degree at position 22 with a nonzero driver at 21,
 and the division ``d21 = d22*q + r`` feeds the column operation.  Each
 accepted step strictly shrinks the pair (number of nonzero drivers, minimal
-driver degree) in lexicographic order.  A matrix with a zero entry has a zero
-row or column and factors by inspection.  Any stall, which cannot happen for
-genuinely degenerate input, raises :class:`NoProgress` rather than returning
-an unverified certificate.
+driver degree) in lexicographic order, and carries the matrix forward from
+the products it ranked with.  A matrix with a zero entry has a zero row or
+column and factors by inspection.
+
+Degeneracy is not tested up front: the certificate is re-multiplied and
+compared with the input, and a rank-one product is degenerate, so a passing
+check certifies it.  A full-rank input makes the reduction stall or the check
+fail; only then does :func:`is_degenerate` run, to tell
+:class:`NotDegenerate` from a genuine stall, which raises :class:`NoProgress`
+rather than returning an unverified certificate.
 """
 
 from __future__ import annotations
@@ -26,7 +32,7 @@ from dataclasses import dataclass
 
 from .errors import NoProgress, NotDegenerate, PreconditionDegree
 from .qmat import Mat2, Vec2, col_op, conj_transpose, is_degenerate, kron, swap_cols, swap_rows
-from .qpoly import QPolyU, QPolyUV, left_div_rem, v_slices
+from .qpoly import QPolyU, QPolyUV, _from_v_slices, left_div_rem, v_slices
 from .quat import _json_object
 
 
@@ -87,8 +93,7 @@ def _undo_on_factors(x: tuple[QPolyUV, QPolyUV], y: tuple[QPolyUV, QPolyUV], mov
         return x, (y[1], y[0])
     if kind == _CT:
         return (y[0].conj(), y[1].conj()), (x[0].conj(), x[1].conj())
-    q = move[1]
-    return x, (y[0] + y[1] * q, y[1])
+    return x, (y[0]._add_mul(y[1], move[1]), y[1])
 
 
 def _slopes(m: Mat2) -> tuple[QPolyU, QPolyU, QPolyU, QPolyU]:
@@ -146,7 +151,7 @@ def _drivers(m: Mat2) -> tuple[QPolyU, QPolyU, QPolyU, QPolyU]:
     return tuple(e.to_u_poly() for e in m.entries())  # type: ignore[return-value]
 
 
-def _step(cur: Mat2) -> list:
+def _step(cur: Mat2) -> tuple[list, Mat2]:
     """One division step on the matrix's drivers, chosen by the progress guard.
 
     The drivers are the v-slopes while some entry depends on v, and the
@@ -154,11 +159,18 @@ def _step(cur: Mat2) -> list:
     exposes nonzero drivers at 22 and 21, preferring a minimal-degree pivot,
     and accepts the first column operation that strictly shrinks (driver
     count, minimal driver degree).  Only the drivers go through the
-    symmetries; the accepted one is applied to the matrix by the caller.  For
-    degenerate input such a step always exists: on v-free entries the first
-    candidate divides by a least-degree pivot, so its quotient is nonzero and
-    its remainder smaller.  The guard protects against silent loops.
+    symmetries while ranking.  For degenerate input such a step always
+    exists: on v-free entries the first candidate divides by a least-degree
+    pivot, so its quotient is nonzero and its remainder smaller.  The guard
+    protects against silent loops.
+
+    Returns the moves and the matrix after them.  The new first column is
+    built from what the ranking computed: its drivers are ``d11 - d12*q`` and
+    the remainder ``r = d21 - d22*q``, which are the whole entries once the
+    matrix is v-free; with v, only the v-free slices ``c11 - c12*q`` and
+    ``c21 - c22*q`` are left to compute.
     """
+    v_free = all(e.deg_v <= 0 for e in cur.entries())
     # Every symmetry's proper prefix precedes it in _SYMMETRIES.
     derived = {(): _drivers(cur)}
     cur_measure = _measure(derived[()])
@@ -174,34 +186,28 @@ def _step(cur: Mat2) -> list:
         q, r = left_div_rem(drivers[2], drivers[3])
         if not q:
             continue
-        new_d11 = drivers[0] - drivers[1] * q
-        next_measure = _measure((new_d11, drivers[1], r, drivers[3]))
-        if next_measure < cur_measure:
-            return [(op,) for op in sym] + [(_CO, q.to_uv())]
+        new_d11 = drivers[0]._add_mul(drivers[1], q, -1)
+        if _measure((new_d11, drivers[1], r, drivers[3])) < cur_measure:
+            moves = [(op,) for op in sym]
+            for move in moves:
+                cur = _apply_move(cur, move)
+            if v_free:
+                m11, m21 = new_d11.to_uv(), r.to_uv()
+            else:
+                c11, c12, c21, c22 = (v_slices(e)[1] for e in cur.entries())
+                m11 = _from_v_slices(new_d11, c11._add_mul(c12, q, -1))
+                m21 = _from_v_slices(r, c21._add_mul(c22, q, -1))
+            return moves + [(_CO, q.to_uv())], Mat2(m11, cur.m12, m21, cur.m22)
     raise NoProgress("no symmetry and division step shrinks the measure of the drivers")
 
 
-def split(m: Mat2) -> SplitCertificate:
-    """Factor a degenerate matrix into ``kron(x, y)``.
-
-    Preconditions:
-        every entry has v-degree at most 1, and the matrix is degenerate.
-
-    The zero matrix factors as ``x = (0, 0)``, ``y = (1, 0)``.  The returned
-    certificate is re-multiplied and compared with the input before being
-    handed back.
+def _reduce(m: Mat2) -> SplitCertificate:
+    """Run the reduction on ``m`` and verify the certificate it yields.
 
     Raises:
-        PreconditionDegree: if some entry has v-degree 2 or more.
-        NotDegenerate: if the matrix has full rank.
-        NoProgress: if the reduction stalls (not expected for valid input).
+        NoProgress: if the reduction stalls or the certificate does not
+            reproduce ``m``, which is certain for a full-rank matrix.
     """
-    for e in m.entries():
-        if e.deg_v >= 2:
-            raise PreconditionDegree("matrix entries must have v-degree at most 1")
-    if not is_degenerate(m):
-        raise NotDegenerate("matrix rows are not left-linearly dependent")
-
     deg_bound = max((int(e.deg_u) for e in m.entries() if e), default=0)
     step_cap = (1 + deg_bound) * 16
 
@@ -217,7 +223,6 @@ def split(m: Mat2) -> SplitCertificate:
         if any(e.is_zero for e in cur.entries()):
             x, y = _factor_with_zero(cur)
             break
-        step = _step(cur)
         if all(e.deg_v <= 0 for e in cur.entries()):
             u_steps += 1
             if u_steps > step_cap:
@@ -226,8 +231,7 @@ def split(m: Mat2) -> SplitCertificate:
             v_steps += 1
             if v_steps > step_cap:
                 raise NoProgress("v-dependence reduction exceeded its step cap")
-        for move in step:
-            cur = _apply_move(cur, move)
+        step, cur = _step(cur)
         moves.extend(step)
 
     for move in reversed(moves):
@@ -237,6 +241,34 @@ def split(m: Mat2) -> SplitCertificate:
     if kron(cert.x, cert.y) != m:
         raise NoProgress("internal error: certificate failed verification")
     return cert
+
+
+def split(m: Mat2) -> SplitCertificate:
+    """Factor a degenerate matrix into ``kron(x, y)``.
+
+    Preconditions:
+        every entry has v-degree at most 1, and the matrix is degenerate.
+
+    The zero matrix factors as ``x = (0, 0)``, ``y = (1, 0)``.  The returned
+    certificate is re-multiplied and compared with the input before being
+    handed back; a rank-one product is degenerate, so that check is what
+    certifies degeneracy.  :func:`is_degenerate` runs only when the reduction
+    or the check fails, to tell a full-rank input from a stall.
+
+    Raises:
+        PreconditionDegree: if some entry has v-degree 2 or more.
+        NotDegenerate: if the matrix has full rank.
+        NoProgress: if the reduction stalls (not expected for valid input).
+    """
+    for e in m.entries():
+        if e.deg_v >= 2:
+            raise PreconditionDegree("matrix entries must have v-degree at most 1")
+    try:
+        return _reduce(m)
+    except NoProgress:
+        if not is_degenerate(m):
+            raise NotDegenerate("matrix rows are not left-linearly dependent") from None
+        raise
 
 
 def split_normalize(cert: SplitCertificate) -> SplitCertificate:

@@ -442,6 +442,42 @@ def test_integer_core_matches_the_fraction_oracles(core, data):
             assert (quotient.terms, remainder.terms) == reference_div_rem(p, q, left)
 
 
+# Heights up to about 10**30, mixed with small ones so denominators differ per coefficient.
+huge_fractions = st.builds(Fraction, st.integers(-10**30, 10**30), st.integers(1, 10**30))
+huge_rationals = st.one_of(fractions, huge_fractions)
+huge_quaternions = st.builds(Quaternion, *[huge_rationals] * 4)
+HUGE_COEFFS = {"QPolyUV": huge_quaternions, "QPolyU": huge_quaternions, "RPolyUV": huge_rationals}
+
+
+@pytest.mark.parametrize("core", CORES)
+@given(data=st.data())
+def test_fused_multiply_add_matches_the_unfused_route(core, data):
+    cls, _, max_dv, build = CORES[core]
+    keys = st.tuples(st.integers(0, 2), st.integers(0, max_dv))
+    term_maps = st.dictionaries(keys, HUGE_COEFFS[core].filter(bool), max_size=4)
+    b, c = build(data.draw(term_maps)), build(data.draw(term_maps))
+    product = (b * c).terms
+    # a is free, equal to b*c (so a - b*c cancels to zero), or shares some of
+    # its terms with b*c (so those keys cancel and the others survive).
+    a_terms = data.draw(term_maps)
+    shape = data.draw(st.sampled_from(["free", "whole", "part"]))
+    if shape == "whole":
+        a_terms = product
+    elif shape == "part" and product:
+        for key in data.draw(st.lists(st.sampled_from(sorted(product)), unique=True)):
+            a_terms[key] = product[key]
+    a = build(a_terms)
+    for sign, unfused in ((-1, a - b * c), (1, a + b * c)):
+        fused = a._add_mul(b, c, sign)
+        assert type(fused) is cls
+        assert fused._ints == unfused._ints
+        assert fused == unfused and hash(fused) == hash(unfused)
+        assert_canonical(fused)
+    if shape == "whole":
+        assert not a._add_mul(b, c, -1)._ints
+        assert not (-a)._add_mul(b, c, 1)._ints
+
+
 @pytest.mark.parametrize("core", CORES)
 @given(data=st.data())
 def test_every_route_to_a_value_gives_one_canonical_form(core, data):

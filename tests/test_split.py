@@ -1,5 +1,7 @@
 """Rank-one factorization: certificates, conventions, error paths, round trips."""
 
+import hashlib
+import json
 import random
 
 import pytest
@@ -27,7 +29,7 @@ from quatsurf import (
 from quatsurf.quat import I, J, K, ONE
 from quatsurf.split import _apply_move, _drivers, _measure, _slopes, _step
 
-from helpers import rand_nonzero_qpolyuv, rand_qpolyuv, rand_vec2, reference_split
+from helpers import rand_nonzero_qpolyuv, rand_nonzero_quat, rand_qpolyuv, rand_vec2, reference_split
 
 U = QPolyUV.var_u()
 V = QPolyUV.var_v()
@@ -105,10 +107,33 @@ def test_split_choices_are_frozen(m, frozen):
     assert split(m).to_json() == frozen
 
 
+def test_costly_shape_certificates_are_pinned():
+    # Dense factors of u-degree 3 with 3-digit heights, whose coefficients
+    # grow to thousands of bits.  reference_split shares the polynomial
+    # kernel and cannot catch a fault in it; this digest of the raw and
+    # normalized certificates, taken before the kernel was fused, can.
+    rng = random.Random(40)
+    digest = hashlib.sha256()
+    for _ in range(8):
+        x = rand_vec2(rng, 3, 0, density=1.0, max_num=999, max_den=999)
+        y = rand_vec2(rng, 3, 1, density=1.0, max_num=999, max_den=999)
+        cert = split(kron(x, y))
+        for c in (cert, split_normalize(cert)):
+            digest.update(json.dumps(c.to_json(), separators=(",", ":")).encode())
+    assert digest.hexdigest() == "c9ad99405aa8e82723a945d065d5c942758369f198c0e10dc53bc1c5a1374ac1"
+
+
+
+def _replayed(m: Mat2, moves) -> Mat2:
+    for move in moves:
+        m = _apply_move(m, move)
+    return m
+
 
 def test_each_v_step_shrinks_the_measure_of_the_matrix():
     # The search ranks symmetries by drivers derived without moving the
-    # matrix; the step it returns must still shrink the measure once applied.
+    # matrix; the matrix it carries forward must equal the input with the
+    # returned moves replayed on it, and must have a smaller measure.
     rng = random.Random(39)
     for _ in range(40):
         if rng.random() < 0.5:
@@ -117,8 +142,9 @@ def test_each_v_step_shrinks_the_measure_of_the_matrix():
             m = kron(rand_vec2(rng, 2, 0), rand_vec2(rng, 1, 1))
         while all(m.entries()) and any(e.deg_v > 0 for e in m.entries()):
             before = _measure(_slopes(m))
-            for move in _step(m):
-                m = _apply_move(m, move)
+            moves, nxt = _step(m)
+            assert nxt == _replayed(m, moves)
+            m = nxt
             assert _measure(_slopes(m)) < before
     # On a v-free matrix the entries drive the same search.
     v_free_steps = 0
@@ -127,8 +153,9 @@ def test_each_v_step_shrinks_the_measure_of_the_matrix():
         while all(m.entries()):
             before = _measure(_drivers(m))
             assert before == _measure(e.to_u_poly() for e in m.entries())
-            for move in _step(m):
-                m = _apply_move(m, move)
+            moves, nxt = _step(m)
+            assert nxt == _replayed(m, moves)
+            m = nxt
             assert _measure(_drivers(m)) < before
             v_free_steps += 1
     assert v_free_steps > 40
@@ -136,13 +163,21 @@ def test_each_v_step_shrinks_the_measure_of_the_matrix():
 
 @st.composite
 def split_cases(draw):
-    """v-free and v-linear products, products with zeroed factor slots, or
-    all sixteen support patterns of one polynomial."""
+    """v-free and v-linear products, products with zeroed factor slots, all
+    sixteen support patterns of one polynomial, or full-rank matrices: a
+    product of nonzero factors plus a nonzero constant in one slot, and the
+    swap matrix."""
     rng = draw(st.randoms(use_true_random=False))
-    kind = draw(st.sampled_from(["v-free", "v-linear", "zero-slots", "support"]))
+    kind = draw(st.sampled_from(["v-free", "v-linear", "zero-slots", "support", "full-rank"]))
     if kind == "support":
         p = rand_nonzero_qpolyuv(rng, 2, 1)
         return [Mat2(*(p if mask >> i & 1 else ZERO for i in range(4))) for mask in range(16)]
+    if kind == "full-rank":
+        x = Vec2(rand_nonzero_qpolyuv(rng, 2, 0), rand_nonzero_qpolyuv(rng, 2, 0))
+        y = Vec2(rand_nonzero_qpolyuv(rng, 2, 1), rand_nonzero_qpolyuv(rng, 2, 1))
+        entries = list(kron(x, y).entries())
+        entries[draw(st.integers(0, 3))] += QPolyUV.const(rand_nonzero_quat(rng))
+        return [Mat2(*entries), Mat2(ZERO, ONE_P, ONE_P, ZERO)]
     max_dv = 0 if kind == "v-free" else 1
     slots = [rand_qpolyuv(rng, 2, dv) for dv in (0, 0, max_dv, max_dv)]
     if kind == "zero-slots":
@@ -163,7 +198,9 @@ def _outcome(factor, m):
 @given(split_cases())
 def test_split_matches_the_two_case_reduction(matrices):
     # Raw certificates, not only their products: the one-game reduction must
-    # take the same steps as the two-game one it replaced.
+    # take the same steps as the two-game one it replaced.  The reference
+    # decides degeneracy up front, so a full-rank matrix must end in
+    # NotDegenerate on both.
     for m in matrices:
         assert _outcome(split, m) == _outcome(reference_split, m)
 
@@ -175,6 +212,9 @@ def test_split_matches_the_two_case_reduction(matrices):
 def test_precondition_degree():
     with pytest.raises(PreconditionDegree):
         split(Mat2(V * V, ZERO, ZERO, ZERO))
+    # Full rank as well: the degree check still comes first.
+    with pytest.raises(PreconditionDegree):
+        split(Mat2(V * V, ZERO, ZERO, ONE_P))
 
 
 def test_not_degenerate():

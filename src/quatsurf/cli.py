@@ -23,7 +23,7 @@ import json
 import sys
 
 from .errors import InvalidInput, QuatsurfError, TooFewPoints
-from .pythagorean import PyTuple, is_pythagorean, tuple_from_pair
+from .pythagorean import PyTuple, is_pythagorean, tuple_from_pair, tuple_to_matrix
 from .qmat import Mat2, is_degenerate
 from .qpoly import QPolyUV
 from .quat import rational_to_str
@@ -107,9 +107,10 @@ def _cmd_degenerate(args) -> int:
 
 
 def _cmd_verify_tuple(args) -> int:
-    """Report both routes; they agree or the run aborts with a domain error."""
-    verdict = is_pythagorean(PyTuple.from_json(_load_json(args.infile)))
-    _emit(_dump({"matrix_degenerate": verdict, "pythagorean": verdict}), args.out)
+    """Report the Hermitian matrix's degeneracy and the sum-of-squares identity, each by its own route."""
+    t = PyTuple.from_json(_load_json(args.infile))
+    degenerate = is_degenerate(tuple_to_matrix(t))
+    _emit(_dump({"matrix_degenerate": degenerate, "pythagorean": is_pythagorean(t)}), args.out)
     return 0
 
 

@@ -11,7 +11,7 @@ holds identically.  Such tuples are exactly the ones whose Hermitian matrix
 
 is degenerate: the commuting product of the off-diagonal entries is the norm
 x1**2 + ... + x4**2, so rank collapse is the same condition as the identity.
-Both routes are computed and compared on every membership query.
+Membership is decided by the identity alone.
 """
 
 from __future__ import annotations
@@ -19,8 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import BasePoint, NotTupleShaped, QuatsurfError
-from .qmat import Mat2, is_degenerate
+from .errors import BasePoint, NotTupleShaped
+from .qmat import Mat2
 from .qpoly import QPolyUV, RPolyUV, quat_poly
 from .quat import _json_array
 
@@ -77,21 +77,11 @@ def matrix_to_tuple(m: Mat2) -> PyTuple:
 
 
 def is_pythagorean(t: PyTuple) -> bool:
-    """Whether the sum-of-squares identity holds exactly.
-
-    Also decides degeneracy of the Hermitian matrix and insists the two
-    answers agree; a disagreement would mean a defect in one of the routes.
-    """
-    lhs = RPolyUV.zero()
+    """Whether the sum-of-squares identity holds exactly."""
+    acc = t.x6 * t.x6
     for p in (t.x1, t.x2, t.x3, t.x4, t.x5):
-        lhs = lhs + p * p
-    identity = lhs == t.x6 * t.x6
-    degenerate = is_degenerate(tuple_to_matrix(t))
-    if identity is not degenerate:
-        raise QuatsurfError(
-            "internal error: sum-of-squares identity and matrix degeneracy disagree"
-        )
-    return identity
+        acc = acc._add_mul(p, p, -1)
+    return acc.is_zero
 
 
 def tuple_from_pair(a: QPolyUV, b: QPolyUV) -> PyTuple:

@@ -485,14 +485,6 @@ class QPolyU(_SparseUV):
     def coeff(self, power: int) -> Quaternion:
         return super().coeff(power, 0)
 
-    @property
-    def coeffs(self) -> tuple[Quaternion, ...]:
-        """Every coefficient up to the degree, low degree first."""
-        return tuple(self.coeff(power) for power in range(self.degree + 1)) if self else ()
-
-    def __repr__(self) -> str:
-        return f"QPolyU({list(self.coeffs)!r})"
-
     def eval(self, u0) -> Quaternion:
         """Evaluate at a rational point."""
         return super().eval(u0, 0)

@@ -15,9 +15,6 @@ from .errors import InvalidInput
 #: Rational scalars are plain fractions throughout the package.
 Rational = Fraction
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
-
 
 def rational_to_str(r: Fraction) -> str:
     """Render ``p/q`` in lowest terms, or just ``p`` for integers.

@@ -31,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import NoProgress, NotDegenerate, PreconditionDegree
-from .qmat import Mat2, Vec2, col_op, conj_transpose, is_degenerate, kron, swap_cols, swap_rows
+from .qmat import Mat2, Vec2, is_degenerate, kron
 from .qpoly import QPolyU, QPolyUV, _from_v_slices, left_div_rem, v_slices
 from .quat import _json_object
 
@@ -72,17 +72,6 @@ _SYMMETRIES: tuple[tuple[str, ...], ...] = (
     (_CT, _SC),
     (_CT, _SR, _SC),
 )
-
-
-def _apply_move(m: Mat2, move) -> Mat2:
-    kind = move[0]
-    if kind == _SR:
-        return swap_rows(m)
-    if kind == _SC:
-        return swap_cols(m)
-    if kind == _CT:
-        return conj_transpose(m)
-    return col_op(m, move[1])
 
 
 def _undo_on_factors(x: tuple[QPolyUV, QPolyUV], y: tuple[QPolyUV, QPolyUV], move):
@@ -128,14 +117,14 @@ def _factor_with_zero(m: Mat2) -> tuple[tuple[QPolyUV, QPolyUV], tuple[QPolyUV, 
     raise NoProgress("a zero entry with both neighbors nonzero contradicts degeneracy")
 
 
-def _move_slopes(slopes, op: str):
-    """The drivers after a symmetry, read off the drivers before it.
+def _move(four, op: str):
+    """Four entries, or their drivers, after the basic symmetry ``op``.
 
     v is central and conjugation acts coefficientwise, so each v-slope follows
     its entry: swaps permute the four, and the conjugate transpose also
-    conjugates them.
+    conjugates them.  The same permutation moves the matrix and its drivers.
     """
-    s11, s12, s21, s22 = slopes
+    s11, s12, s21, s22 = four
     if op == _SR:
         return (s21, s22, s11, s12)
     if op == _SC:
@@ -177,7 +166,7 @@ def _step(cur: Mat2) -> tuple[list, Mat2]:
     candidates = []
     for idx, sym in enumerate(_SYMMETRIES):
         if sym:
-            derived[sym] = _move_slopes(derived[sym[:-1]], sym[-1])
+            derived[sym] = _move(derived[sym[:-1]], sym[-1])
         drivers = derived[sym]
         if drivers[3] and drivers[2]:
             candidates.append((drivers[3].degree, idx, sym, drivers))
@@ -188,16 +177,15 @@ def _step(cur: Mat2) -> tuple[list, Mat2]:
             continue
         new_d11 = drivers[0]._add_mul(drivers[1], q, -1)
         if _measure((new_d11, drivers[1], r, drivers[3])) < cur_measure:
-            moves = [(op,) for op in sym]
-            for move in moves:
-                cur = _apply_move(cur, move)
+            for op in sym:
+                cur = Mat2(*_move(cur.entries(), op))
             if v_free:
                 m11, m21 = new_d11.to_uv(), r.to_uv()
             else:
                 c11, c12, c21, c22 = (v_slices(e)[1] for e in cur.entries())
                 m11 = _from_v_slices(new_d11, c11._add_mul(c12, q, -1))
                 m21 = _from_v_slices(r, c21._add_mul(c22, q, -1))
-            return moves + [(_CO, q.to_uv())], Mat2(m11, cur.m12, m21, cur.m22)
+            return [(op,) for op in sym] + [(_CO, q.to_uv())], Mat2(m11, cur.m12, m21, cur.m22)
     raise NoProgress("no symmetry and division step shrinks the measure of the drivers")
 
 

@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from quatsurf import (
     BasePoint,
@@ -25,7 +27,7 @@ from quatsurf import (
 )
 from quatsurf.quat import I, J
 
-from helpers import rand_fraction, rand_qpolyuv, rand_rpolyuv
+from helpers import rand_fraction, rand_qpolyuv, rand_rpolyuv, reference_add, reference_mul
 
 RU = RPolyUV.var_u()
 RV = RPolyUV.var_v()
@@ -115,6 +117,56 @@ def test_both_routes_agree_on_random_tuples():
         hits += verdict
         misses += not verdict
     assert hits > 10 and misses > 10
+
+
+def reference_sum_of_squares(polys) -> dict:
+    """``sum(p*p)`` on ``Fraction`` term maps, through the helpers' coefficient loops."""
+    total: dict = {}
+    for p in polys:
+        total = reference_add(total, reference_mul(p.terms, p.terms))
+    return total
+
+
+# Small rationals mixed with heights up to about 10**30, so denominators differ per coefficient.
+rationals = st.one_of(
+    st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6)),
+    st.builds(Fraction, st.integers(-10**30, 10**30), st.integers(1, 10**30)),
+)
+monomial_keys = st.tuples(st.integers(0, 2), st.integers(0, 1))
+
+
+@st.composite
+def identity_cases(draw):
+    """A ``tuple_from_pair`` tuple, the same with one monomial added to one
+    slot, or a tuple whose first four squares already cancel ``x6**2``."""
+    kind = draw(st.sampled_from(["pair", "pair+monomial", "cancel-before-x5"]))
+    # In the last kind a and b lie in span(1, i), so a*b has no j or k part.
+    tail = [st.just(0)] * 2 if kind == "cancel-before-x5" else [rationals] * 2
+    coeffs = st.builds(Quaternion, rationals, rationals, *tail).filter(bool)
+    polys = st.dictionaries(monomial_keys, coeffs, max_size=3).map(QPolyUV)
+    t = tuple_from_pair(draw(polys), draw(polys))
+    xs = list(t.components())
+    if kind == "pair+monomial":
+        (du, dv), c = draw(monomial_keys), draw(rationals)
+        slot = draw(st.integers(0, 5))
+        xs[slot] = xs[slot] + RPolyUV.monomial(c, du, dv)
+    elif kind == "cancel-before-x5":
+        x1, x2, _, _, x5, x6 = xs
+        w = RPolyUV(draw(st.dictionaries(monomial_keys, rationals, max_size=2)))
+        xs = [x1, x2, x5, R0, w, x6]
+    return kind, PyTuple(*xs)
+
+
+@given(identity_cases())
+def test_is_pythagorean_matches_the_fraction_oracle(case):
+    kind, t = case
+    *sides, x6 = t.components()
+    square = reference_mul(x6.terms, x6.terms)
+    if kind == "cancel-before-x5":
+        assert reference_sum_of_squares(sides[:4]) == square
+    if kind == "pair":
+        assert is_pythagorean(t)
+    assert is_pythagorean(t) == (reference_sum_of_squares(sides) == square)
 
 
 # endregion

@@ -89,6 +89,11 @@ def test_monomial_products():
         QPolyU.monomial(I, -1)
 
 
+def test_repr_is_sparse():
+    # A dense repr would list all 10**6 + 1 coefficients.
+    assert repr(QPolyU.monomial(1, 10**6)) == "QPolyU({(1000000,0): Quaternion(1, 0, 0, 0)})"
+
+
 def test_mul_by_zero():
     rng = random.Random(1)
     for _ in range(10):

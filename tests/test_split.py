@@ -27,9 +27,9 @@ from quatsurf import (
     swap_rows,
 )
 from quatsurf.quat import I, J, K, ONE
-from quatsurf.split import _apply_move, _drivers, _measure, _slopes, _step
+from quatsurf.split import _drivers, _measure, _slopes, _step
 
-from helpers import rand_nonzero_qpolyuv, rand_nonzero_quat, rand_qpolyuv, rand_vec2, reference_split
+from helpers import _apply_move, rand_nonzero_qpolyuv, rand_nonzero_quat, rand_qpolyuv, rand_vec2, reference_split
 
 U = QPolyUV.var_u()
 V = QPolyUV.var_v()

@@ -1,6 +1,7 @@
 """Rank-one factorization: certificates, conventions, error paths, round trips."""
 
 import hashlib
+import importlib
 import json
 import random
 
@@ -35,6 +36,9 @@ U = QPolyUV.var_u()
 V = QPolyUV.var_v()
 ZERO = QPolyUV.zero()
 ONE_P = QPolyUV.one()
+
+# The package's ``split`` attribute is the function, so patch through the module object.
+SPLIT_MODULE = importlib.import_module("quatsurf.split")
 
 
 def const(*components) -> QPolyUV:
@@ -222,6 +226,44 @@ def test_not_degenerate():
         split(Mat2(ONE_P, ZERO, ZERO, ONE_P))
     with pytest.raises(NotDegenerate):
         split(Mat2(ONE_P, V, U, U * V + 1))
+
+
+def test_full_rank_constant_terms_reject_before_the_reduction(monkeypatch):
+    def no_reduction(m):
+        raise AssertionError("the reduction ran")
+
+    monkeypatch.setattr(SPLIT_MODULE, "_reduce", no_reduction)
+    with pytest.raises(NotDegenerate, match=r"^matrix rows are not left-linearly dependent$"):
+        split(Mat2(U, ONE_P, ONE_P, U))
+
+
+@pytest.mark.parametrize("m11", [ONE_P + U, ONE_P + V], ids=["1+u", "1+v"])
+def test_full_rank_degenerate_at_the_origin_goes_through_the_fallback(monkeypatch, m11):
+    # Both matrices are [[1, 1], [1, 1]] at (0, 0), so only the reduction and
+    # the whole-matrix test can reject them.
+    calls = []
+    reduce = SPLIT_MODULE._reduce
+    monkeypatch.setattr(SPLIT_MODULE, "_reduce", lambda m: calls.append(m) or reduce(m))
+    with pytest.raises(NotDegenerate, match=r"^matrix rows are not left-linearly dependent$"):
+        split(Mat2(m11, ONE_P, ONE_P, ONE_P))
+    assert len(calls) == 1
+
+
+@st.composite
+def products_with_zero_constants(draw):
+    """``kron(x, y)`` with one factor v-free; factor entries multiplied by u have no constant term."""
+    rng = draw(st.randoms(use_true_random=False))
+    dvs = draw(st.sampled_from([(0, 1), (1, 0)]))
+    factors = [rand_qpolyuv(rng, 2, dv) for dv in (dvs[0], dvs[0], dvs[1], dvs[1])]
+    for i in range(4):
+        if draw(st.booleans()):
+            factors[i] = factors[i] * U
+    return kron(Vec2(*factors[:2]), Vec2(*factors[2:]))
+
+
+@given(products_with_zero_constants())
+def test_the_origin_test_never_rejects_a_product(m):
+    assert_splits(m)
 
 
 # endregion

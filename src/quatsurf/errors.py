@@ -24,7 +24,16 @@ class PreconditionDegree(QuatsurfError):
 
 
 class NotDegenerate(QuatsurfError):
-    """The matrix has full rank, so no rank-one factorization exists."""
+    """The matrix has full rank, so no rank-one factorization exists.
+
+    ``witness`` names the test that proved it: ``"leading term"`` or
+    ``"trailing term"`` when the extreme terms of the pivot identity differ,
+    ``"identity"`` when the whole identity decided; None if not given.
+    """
+
+    def __init__(self, message: str, witness: str | None = None):
+        super().__init__(message)
+        self.witness = witness
 
 
 class NoProgress(QuatsurfError):

@@ -11,7 +11,10 @@ holds identically.  Such tuples are exactly the ones whose Hermitian matrix
 
 is degenerate: the commuting product of the off-diagonal entries is the norm
 x1**2 + ... + x4**2, so rank collapse is the same condition as the identity.
-Membership is decided by the identity alone.
+Membership is decided by the identity alone: first on its leading and
+trailing terms, which a sum of real squares cannot cancel, then as one
+signed sum of norms on the real kernel of :mod:`quatsurf.qpoly`, which also
+gives ``tuple_from_pair`` its two norms.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from fractions import Fraction
 
 from .errors import BasePoint, NotTupleShaped
 from .qmat import Mat2
-from .qpoly import QPolyUV, RPolyUV, quat_poly
+from .qpoly import QPolyUV, RPolyUV, _norm, quat_poly
 from .quat import _json_array
 
 
@@ -77,11 +80,26 @@ def matrix_to_tuple(m: Mat2) -> PyTuple:
 
 
 def is_pythagorean(t: PyTuple) -> bool:
-    """Whether the sum-of-squares identity holds exactly."""
-    acc = t.x6 * t.x6
-    for p in (t.x1, t.x2, t.x3, t.x4, t.x5):
-        acc = acc._add_mul(p, p, -1)
-    return acc.is_zero
+    """Whether the sum-of-squares identity holds exactly.
+
+    ``x1**2 + ... + x4**2`` is the norm of ``x1 + x2*i + x3*j + x4*k``, so
+    ``x1**2 + ... + x5**2 - x6**2`` is one signed sum of norms, built in one
+    rational term map with each cross term computed once.  Before that, the
+    extreme terms are compared.  A nonzero real square has a positive leading
+    coefficient, so the leading terms of the squares cannot cancel: the sum's
+    leading term has exponent ``2*max lm(xi)`` and coefficient the sum of
+    ``lc(xi)**2`` over the ``xi`` that reach it, and must equal that of
+    ``x6**2``.  The trailing terms work the same way.
+    """
+    plus = (quat_poly(t.x1, t.x2, t.x3, t.x4)._ints, t.x5.to_quat()._ints)
+    x6 = t.x6.to_quat()._ints
+    if not (any(plus) and x6):
+        return not (any(plus) or x6)
+    for pick in (max, min):
+        k, k6 = pick(pick(p) for p in plus if p), pick(x6)
+        if _norm([{k: p[k]} for p in plus if k in p], [{k6: x6[k6]}]):
+            return False
+    return not _norm(plus, [x6])
 
 
 def tuple_from_pair(a: QPolyUV, b: QPolyUV) -> PyTuple:
@@ -97,8 +115,7 @@ def tuple_from_pair(a: QPolyUV, b: QPolyUV) -> PyTuple:
     ``kron((a, conj(b)), (conj(a), b))``.
     """
     x1, x2, x3, x4 = (a * b).components()
-    na = (a * a.conj()).components()[0]
-    nb = (b * b.conj()).components()[0]
+    na, nb = (RPolyUV._raw(_norm([p._ints])) for p in (a, b))
     return PyTuple(x1, x2, x3, x4, (nb - na) / 2, (nb + na) / 2)
 
 

@@ -11,15 +11,24 @@ read off from ``(c, d) = (c * a^-1) * (a, b)`` with ``a^-1 = conj(a) / N(a)``
 (the Dieudonne/Study view of the quaternionic determinant).  With ``a = 0``
 the matrix is degenerate iff ``b = 0`` or ``c = 0``.  Deciding it needs one
 exact polynomial identity, evaluated on the canonical integer coefficients
-that :mod:`quatsurf.qpoly` stores; rows are not scaled, and this module does
-no polynomial arithmetic of its own.
+that :mod:`quatsurf.qpoly` stores, with ``N(a)`` computed as a real map and
+multiplied into ``d`` by the real-times-quaternion kernel; rows are not
+scaled, and this module does no polynomial arithmetic of its own.
+
+The coefficient ring has no zero divisors and u, v are central, so under
+lexicographic order on ``(du, dv)`` the leading term of a product is the
+product of the leading terms, and likewise the trailing (least) term.  Both
+sides' extreme terms therefore come from the entries' extreme terms at the
+cost of a few single-term products.  Where they differ the matrix has full
+rank, which is decided before any full product is formed;
+:func:`quatsurf.split.split` shares this check.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .qpoly import QPolyUV, _qmul
+from .qpoly import QPolyUV, _norm, _qmul, _rqmul
 from .quat import _json_array
 
 # region types
@@ -110,6 +119,37 @@ def conj_transpose(m: Mat2) -> Mat2:
 # region degeneracy
 
 
+def _sides(a: dict, b: dict, c: dict, d: dict) -> tuple[dict, dict]:
+    """Both sides of the pivot identity, ``c*conj(a)*b`` and ``N(a)*d``, on term maps."""
+    a_conj = {key: (w, -x, -y, -z, den) for key, (w, x, y, z, den) in a.items()}
+    return _qmul(_qmul(c, a_conj), b), _rqmul(_norm([a]), d)
+
+
+def _full_rank_witness(m: Mat2) -> str | None:
+    """The test that proves ``m`` has full rank without the whole identity, or None.
+
+    A zero entry settles the identity at once: ``"identity"`` if the matrix
+    then has full rank.  Otherwise the leading terms of the two sides, in
+    lexicographic order on ``(du, dv)``, are products of the entries' leading
+    terms, with no cancellation; so are the trailing terms.  Both are
+    computed from four single-term maps, and a mismatch is returned as
+    ``"leading term"`` or ``"trailing term"``.  None means the full identity
+    must decide.
+    """
+    a, b, c, d = (e._ints for e in m.entries())
+    if not (a and b and c and d):
+        # With a = 0 the rows are dependent iff b = 0 or c = 0.  Otherwise
+        # the left side vanishes iff b or c does, and the right iff d does.
+        zero_left = not (b and c)
+        degenerate = zero_left if not a else zero_left == (not d)
+        return None if degenerate else "identity"
+    for witness, pick in (("leading term", max), ("trailing term", min)):
+        left, right = _sides(*({(k := pick(e)): e[k]} for e in (a, b, c, d)))
+        if left != right:
+            return witness
+    return None
+
+
 def is_degenerate(m: Mat2) -> bool:
     """Whether the rows are left-linearly dependent (rank at most 1).
 
@@ -117,15 +157,18 @@ def is_degenerate(m: Mat2) -> bool:
     when ``b = 0`` or ``c = 0``.  Otherwise the second row must be
     ``c * a^-1`` times the first, which leaves the single condition
     ``c * conj(a) * b == N(a) * d`` with the central norm ``N(a) = a * conj(a)``.
-    Both sides are multiplied out on the stored integer coefficients, each
-    over its own denominator, so no row is scaled; canonical coefficients
-    make the comparison a plain map equality.  Exact, no floating point.
+    The extreme terms of both sides are compared first (see
+    :func:`_full_rank_witness`); only when they agree are both sides
+    multiplied out, on the stored integer coefficients, with ``N(a)`` as a
+    real map.  No row is scaled, and canonical coefficients make the
+    comparison a plain map equality.  Exact, no floating point.
     """
-    if m.m11.is_zero:
-        return m.m12.is_zero or m.m21.is_zero
-    a, b, c, d = (e._ints for e in m.entries())
-    a_conj = m.m11.conj()._ints
-    return _qmul(_qmul(c, a_conj), b) == _qmul(_qmul(a, a_conj), d)
+    if _full_rank_witness(m):
+        return False
+    if not all(m.entries()):  # a zero entry settled it, and not as full rank
+        return True
+    left, right = _sides(*(e._ints for e in m.entries()))
+    return left == right
 
 
 # endregion

@@ -20,6 +20,10 @@ canonicalized once.  A quaternion product takes 16 integer multiplications
 per term pair, or 8 when the first stored coefficient of both operands has a
 numerator longer than ``_BIG_BITS`` (512) bits; the two forms give identical
 values, and the 8-multiplication one is faster only on long integers.
+Two real kernels skip the quaternion product where a value is real:
+``_norm`` forms ``p*conj(p)``, or a signed sum of such norms, from one dot
+product per unordered term pair, and ``_rqmul`` multiplies a real map into a
+quaternion map with 4 multiplications per term pair.
 ``Fraction`` and :class:`Quaternion` values are built only where a caller
 reads them: ``terms``, ``coeff``, ``lead``, ``components``, ``eval``, the
 JSON codec and ``repr``.
@@ -177,11 +181,77 @@ def _rmul(p: dict, q: dict, acc: dict | None = None, sign: int = 1) -> dict:
             else:
                 m = lcm(cur[1], d)
                 out[key] = (cur[0] * (m // cur[1]) + n * (m // d), m)
+    return _rational_terms(out)
+
+
+def _rational_terms(out: dict) -> dict:
+    """Canonical rational term map from accumulated ``(n, d)`` pairs, dropping zero numerators."""
     res = {}
     for key, (n, d) in out.items():
         if n:
             g = gcd(n, d)
             res[key] = (n // g, d // g)
+    return res
+
+
+def _norm(plus: Iterable[dict], minus: Iterable[dict] = ()) -> dict:
+    """The norms ``p*conj(p)`` of the quaternion maps in ``plus``, less those in ``minus``, as one rational map.
+
+    ``p*conj(p)`` is real: the term pairs ``(k, l)`` and ``(l, k)`` give
+    conjugate coefficients, whose sum is twice the dot product of their
+    numerators.  So each unordered pair ``k <= l`` costs one dot product of 4
+    multiplications, doubled off the diagonal, where the quaternion product
+    takes 16 per ordered pair.  Sums accumulate as in :func:`_rmul`.
+    """
+    out: dict = {}
+    get = out.get
+    for sign, maps in ((1, plus), (-1, minus)):
+        for p in maps:
+            items = list(p.items())
+            for i, ((u1, v1), (a0, a1, a2, a3, da)) in enumerate(items):
+                scale = sign
+                for (u2, v2), (b0, b1, b2, b3, db) in items[i:]:
+                    key = (u1 + u2, v1 + v2)
+                    n, d = scale * (a0 * b0 + a1 * b1 + a2 * b2 + a3 * b3), da * db
+                    scale = 2 * sign
+                    cur = get(key)
+                    if cur is None:
+                        out[key] = (n, d)
+                    elif cur[1] == d:
+                        out[key] = (cur[0] + n, d)
+                    else:
+                        m = lcm(cur[1], d)
+                        out[key] = (cur[0] * (m // cur[1]) + n * (m // d), m)
+    return _rational_terms(out)
+
+
+def _rqmul(r: dict, q: dict) -> dict:
+    """``r*q`` for a rational term map ``r`` and a quaternion term map ``q``.
+
+    A real coefficient scales each component, so a term pair costs 4
+    multiplications; sums accumulate and canonicalize as in :func:`_qmul`.
+    """
+    out: dict = {}
+    get = out.get
+    for (u1, v1), (n, dn) in r.items():
+        for (u2, v2), (b0, b1, b2, b3, db) in q.items():
+            key = (u1 + u2, v1 + v2)
+            w, x, y, z, d = n * b0, n * b1, n * b2, n * b3, dn * db
+            cur = get(key)
+            if cur is None:
+                out[key] = (w, x, y, z, d)
+            elif cur[4] == d:
+                out[key] = (cur[0] + w, cur[1] + x, cur[2] + y, cur[3] + z, d)
+            else:
+                c0, c1, c2, c3, dc = cur
+                m = lcm(dc, d)
+                s, t = m // dc, m // d
+                out[key] = (c0 * s + w * t, c1 * s + x * t, c2 * s + y * t, c3 * s + z * t, m)
+    res = {}
+    for key, (w, x, y, z, d) in out.items():
+        if w or x or y or z:
+            g = gcd(w, x, y, z, d)
+            res[key] = (w, x, y, z, d) if g == 1 else (w // g, x // g, y // g, z // g, d // g)
     return res
 
 

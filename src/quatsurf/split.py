@@ -18,16 +18,17 @@ driver degree) in lexicographic order, and carries the matrix forward from
 the products it ranked with.  A matrix with a zero entry has a zero row or
 column and factors by inspection.
 
-Degeneracy is tested up front only at ``(u, v) = (0, 0)``.  A rank-one
-matrix stays degenerate at every real point, so a full-rank matrix of
-constant terms, read off the stored maps with no evaluation, rejects the
-input before any reduction.  Past that test the certificate is re-multiplied
-and compared with the input, and a rank-one product is degenerate, so a
-passing check certifies it.  A full-rank input that is degenerate at the
-origin makes the reduction stall or the check fail; only then does
-:func:`is_degenerate` run on the whole matrix, to tell :class:`NotDegenerate`
-from a genuine stall, which raises :class:`NoProgress` rather than returning
-an unverified certificate.
+Degeneracy is tested up front only on the extreme terms of the pivot
+identity of :func:`is_degenerate`: the leading and trailing terms of
+``c*conj(a)*b`` and ``N(a)*d`` are products of the entries' own extreme
+terms, so a full-rank matrix whose sides differ there, or whose zero entries
+settle the identity, is rejected before any reduction.  Past that test the
+certificate is re-multiplied and compared with the input, and a rank-one
+product is degenerate, so a passing check certifies it.  A full-rank input
+whose extreme terms agree makes the reduction stall or the check fail; only
+then does :func:`is_degenerate` run on the whole matrix, to tell
+:class:`NotDegenerate` from a genuine stall, which raises :class:`NoProgress`
+rather than returning an unverified certificate.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import NoProgress, NotDegenerate, PreconditionDegree
-from .qmat import Mat2, Vec2, is_degenerate, kron
+from .qmat import Mat2, Vec2, _full_rank_witness, is_degenerate, kron
 from .qpoly import QPolyU, QPolyUV, _from_v_slices, left_div_rem, v_slices
 from .quat import _json_object
 
@@ -193,22 +194,14 @@ def _step(cur: Mat2) -> tuple[list, Mat2]:
     raise NoProgress("no symmetry and division step shrinks the measure of the drivers")
 
 
-def _at_origin(m: Mat2) -> Mat2:
-    """The matrix of constant terms, ``m`` at ``(u, v) = (0, 0)``, read off the stored maps."""
-    entries = []
-    for e in m.entries():
-        c = e._ints.get((0, 0))
-        entries.append(QPolyUV._raw({} if c is None else {(0, 0): c}))
-    return Mat2(*entries)
-
-
 def _reduce(m: Mat2) -> SplitCertificate:
     """Run the reduction on ``m`` and verify the certificate it yields.
 
     Raises:
         NoProgress: if the reduction stalls or the certificate does not
             reproduce ``m``, which is certain for a full-rank matrix; a
-            full-rank matrix gets here only if it is degenerate at the origin.
+            full-rank matrix gets here only if the extreme terms of its
+            pivot identity agree.
     """
     deg_bound = max((int(e.deg_u) for e in m.entries() if e), default=0)
     step_cap = (1 + deg_bound) * 16
@@ -252,29 +245,32 @@ def split(m: Mat2) -> SplitCertificate:
         every entry has v-degree at most 1, and the matrix is degenerate.
 
     The zero matrix factors as ``x = (0, 0)``, ``y = (1, 0)``.  A matrix
-    whose constant terms form a full-rank matrix is rejected before any
-    reduction: a rank-one matrix is degenerate at ``(u, v) = (0, 0)`` too.
-    Otherwise the returned certificate is re-multiplied and compared with the
-    input before being handed back; a rank-one product is degenerate, so that
-    check is what certifies degeneracy.  :func:`is_degenerate` runs on the
-    whole matrix only when the reduction or the check fails, to tell a
-    full-rank input from a stall.
+    whose pivot identity fails on its leading or trailing terms, or on a zero
+    entry, is rejected before any reduction.  Otherwise the returned
+    certificate is re-multiplied and compared with the input before being
+    handed back; a rank-one product is degenerate, so that check is what
+    certifies degeneracy.  :func:`is_degenerate` runs on the whole matrix
+    only when the reduction or the check fails, to tell a full-rank input
+    from a stall.
 
     Raises:
         PreconditionDegree: if some entry has v-degree 2 or more.
-        NotDegenerate: if the matrix has full rank.
+        NotDegenerate: if the matrix has full rank; its ``witness`` is
+            ``"leading term"``, ``"trailing term"`` or ``"identity"``.
         NoProgress: if the reduction stalls (not expected for valid input).
     """
     for e in m.entries():
         if e.deg_v >= 2:
             raise PreconditionDegree("matrix entries must have v-degree at most 1")
-    if is_degenerate(_at_origin(m)):
+    witness = _full_rank_witness(m)
+    if witness is None:
         try:
             return _reduce(m)
         except NoProgress:
             if is_degenerate(m):
                 raise
-    raise NotDegenerate("matrix rows are not left-linearly dependent")
+        witness = "identity"
+    raise NotDegenerate("matrix rows are not left-linearly dependent", witness)
 
 
 def split_normalize(cert: SplitCertificate) -> SplitCertificate:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import combinations
-from math import lcm
+from math import gcd, lcm
 
 from quatsurf import (
     Circle3,
@@ -447,6 +447,19 @@ def reference_is_degenerate(m: Mat2) -> bool:
     return True
 
 
+def reference_origin_full_rank(m: Mat2) -> bool:
+    """Whether the constant terms of ``m`` form a full-rank matrix, by the complex embedding.
+
+    The test ``split`` ran before the extreme-term check: a rank-one matrix
+    stays degenerate at ``(u, v) = (0, 0)``, so this proves full rank.
+    """
+    entries = []
+    for e in m.entries():
+        c = e._ints.get((0, 0))
+        entries.append(QPolyUV._raw({} if c is None else {(0, 0): c}))
+    return not reference_is_degenerate(Mat2(*entries))
+
+
 # endregion
 
 
@@ -455,6 +468,12 @@ def reference_is_degenerate(m: Mat2) -> bool:
 # The Fraction-object arithmetic that quatsurf.qpoly ran before its integer
 # core, kept as oracles.  Polynomials here are plain maps from exponent pairs
 # to nonzero Quaternion or Fraction values, the shape of ``.terms``.
+
+
+def assert_canonical(poly) -> None:
+    """Every stored tuple has a positive denominator, gcd 1 and a nonzero numerator."""
+    for c in poly._ints.values():
+        assert c[-1] > 0 and gcd(*c) == 1 and any(c[:-1])
 
 
 def reference_add(p: dict, q: dict) -> dict:

@@ -1,5 +1,6 @@
 """Pythagorean 6-tuples: the matrix correspondence, generators, sphere map."""
 
+import importlib
 import random
 from fractions import Fraction
 
@@ -25,9 +26,13 @@ from quatsurf import (
     tuple_to_matrix,
     tuple_to_sphere_map,
 )
+from quatsurf.qpoly import _norm, quat_poly
 from quatsurf.quat import I, J
 
-from helpers import rand_fraction, rand_qpolyuv, rand_rpolyuv, reference_add, reference_mul
+from helpers import assert_canonical, rand_fraction, rand_qpolyuv, rand_rpolyuv, reference_add, reference_mul
+
+# The package's ``is_pythagorean`` attribute is the function, so patch through the module object.
+PYTHAGOREAN_MODULE = importlib.import_module("quatsurf.pythagorean")
 
 RU = RPolyUV.var_u()
 RV = RPolyUV.var_v()
@@ -167,6 +172,76 @@ def test_is_pythagorean_matches_the_fraction_oracle(case):
     if kind == "pair":
         assert is_pythagorean(t)
     assert is_pythagorean(t) == (reference_sum_of_squares(sides) == square)
+
+
+def add_mul_route(t: PyTuple) -> RPolyUV:
+    """``x1**2 + ... + x5**2 - x6**2`` as ``is_pythagorean`` built it before the fused squares."""
+    acc = t.x6 * t.x6
+    for p in (t.x1, t.x2, t.x3, t.x4, t.x5):
+        acc = acc._add_mul(p, p, -1)
+    return -acc
+
+
+@given(identity_cases())
+def test_fused_squares_match_the_add_mul_route(case):
+    _, t = case
+    plus = (quat_poly(t.x1, t.x2, t.x3, t.x4)._ints, t.x5.to_quat()._ints)
+    fused = RPolyUV._raw(_norm(plus, [t.x6.to_quat()._ints]))
+    assert fused == add_mul_route(t)
+    assert_canonical(fused)
+
+
+def verdict_and_norm_calls(t: PyTuple) -> tuple[bool, int]:
+    """``is_pythagorean(t)`` and how many sums of norms it formed: one per
+    extreme-term comparison, plus one for the whole identity."""
+    calls = []
+    norm = PYTHAGOREAN_MODULE._norm
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(PYTHAGOREAN_MODULE, "_norm", lambda *args: calls.append(args) or norm(*args))
+        verdict = is_pythagorean(t)
+    return verdict, len(calls)
+
+
+# Nonzero factors that may be v-free or lack a constant term, with heights up to about 10**30.
+pair_coeffs = st.builds(Quaternion, rationals, rationals, rationals, rationals).filter(bool)
+pair_polys = st.builds(
+    lambda terms, shift: QPolyUV(terms) * shift,
+    st.dictionaries(st.tuples(st.integers(0, 2), st.integers(0, 1)), pair_coeffs, min_size=1, max_size=3),
+    st.sampled_from([QPolyUV.one(), QPolyUV.var_u(), QPolyUV.var_v()]),
+)
+
+
+@given(pair_polys, pair_polys)
+def test_extreme_terms_never_reject_a_pair_tuple(a, b):
+    assert verdict_and_norm_calls(tuple_from_pair(a, b)) == (True, 3)
+
+
+@pytest.mark.parametrize("slot, extra", [(0, RU), (5, RU * RV)], ids=["x1+u", "x6+uv"])
+def test_a_middle_monomial_is_rejected_by_the_full_identity(slot, extra):
+    # For a = 1 + u and b = 1 + v the sums' leading terms sit at u**4 and the
+    # trailing ones at 1; u and u*v lie strictly between in lexicographic order.
+    xs = list(tuple_from_pair(QPolyUV.one() + QPolyUV.var_u(), QPolyUV.one() + QPolyUV.var_v()).components())
+    assert verdict_and_norm_calls(PyTuple(*xs)) == (True, 3)
+    xs[slot] = xs[slot] + extra
+    t = PyTuple(*xs)
+    assert verdict_and_norm_calls(t) == (False, 3)
+    assert not sum_of_squares_identity(t)
+
+
+@pytest.mark.parametrize(
+    "t",
+    [
+        PyTuple(RU, R0, R0, R0, R0, R0),
+        PyTuple(R0, R0, R0, R0, RU * RV, R0),
+        PyTuple(R0, R0, R0, R0, R0, RU + 1),
+        const_tuple(0, 0, 0, 0, 0, 0),
+    ],
+    ids=["only-x6-zero", "x5-alone", "only-x1-to-x5-zero", "all-zero"],
+)
+def test_a_zero_side_decides_at_once(t):
+    verdict = sum_of_squares_identity(t)
+    assert verdict_and_norm_calls(t) == (verdict, 0)
+    assert verdict == is_degenerate(tuple_to_matrix(t))
 
 
 # endregion

@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from quatsurf import (
@@ -20,6 +20,7 @@ from quatsurf import (
     swap_cols,
     swap_rows,
 )
+from quatsurf.qmat import _full_rank_witness
 from quatsurf.quat import I, J, K, ONE
 
 from helpers import (
@@ -28,6 +29,7 @@ from helpers import (
     rand_rpolyuv,
     rand_vec2,
     reference_is_degenerate,
+    reference_origin_full_rank,
 )
 
 U = QPolyUV.var_u()
@@ -238,6 +240,76 @@ def degeneracy_cases(draw):
 @given(degeneracy_cases())
 def test_degeneracy_matches_complex_embedding(m):
     assert is_degenerate(m) == reference_is_degenerate(m)
+
+
+# Small rationals mixed with heights up to about 10**30, so denominators differ per coefficient.
+rationals = st.one_of(
+    st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6)),
+    st.builds(Fraction, st.integers(-10**30, 10**30), st.integers(1, 10**30)),
+)
+coefficients = st.builds(Quaternion, rationals, rationals, rationals, rationals).filter(bool)
+
+
+@st.composite
+def polys(draw, max_dv: int = 1, constant: bool = True):
+    """Up to three terms of u-degree at most 2; without ``constant``, or on a drawn
+    multiplication by u or v, the constant term vanishes.  May be zero."""
+    keys = st.tuples(st.integers(0, 2), st.integers(0, max_dv))
+    p = QPolyUV(draw(st.dictionaries(keys, coefficients, max_size=3)))
+    shift = draw(st.sampled_from([None, U, V] if max_dv else [None, U]))
+    if shift is not None or not constant:
+        p = p * (shift or U)
+    return p
+
+
+@st.composite
+def products(draw):
+    """``kron(x, y)`` with factors that may be v-free, lack constant terms or be zero."""
+    dv_x, dv_y = draw(st.sampled_from([(0, 0), (0, 1), (1, 0), (1, 1)]))
+    x = Vec2(draw(polys(dv_x)), draw(polys(dv_x)))
+    y = Vec2(draw(polys(dv_y)), draw(polys(dv_y)))
+    return kron(x, y)
+
+
+@settings(max_examples=80)
+@given(products())
+def test_the_extreme_term_check_never_fires_on_a_product(m):
+    assert _full_rank_witness(m) is None
+    assert is_degenerate(m) and reference_is_degenerate(m)
+
+
+@st.composite
+def full_rank_at_the_origin(draw):
+    """Matrices whose constant terms have full rank: a product plus a constant
+    in one slot, or four entries with drawn, possibly zero, constant terms."""
+    if draw(st.booleans()):
+        entries = list(draw(products()).entries())
+        entries[draw(st.integers(0, 3))] += QPolyUV.const(draw(coefficients))
+    else:
+        constants = [draw(st.one_of(st.just(0), coefficients)) for _ in range(4)]
+        entries = [draw(polys(constant=False)) + c for c in constants]
+    m = Mat2(*entries)
+    assume(reference_origin_full_rank(m))
+    return m
+
+
+@settings(max_examples=80)
+@given(full_rank_at_the_origin())
+def test_the_extreme_term_check_fires_where_the_origin_test_did(m):
+    assert _full_rank_witness(m) is not None
+    assert not is_degenerate(m) and not reference_is_degenerate(m)
+
+
+@pytest.mark.parametrize("p", [(ONE_P + U) * (ONE_P + V), (ONE_P + U) * (ONE_P + U)], ids=["uv", "u-only"])
+def test_a_middle_monomial_is_left_to_the_full_identity(p):
+    # Adding u to m22 changes neither extreme term of N(a)*d, so only the
+    # whole identity sees that the matrix has full rank.
+    m = Mat2(p, p, p, p + U)
+    assert _full_rank_witness(m) is None
+    assert not is_degenerate(m) and not reference_is_degenerate(m)
+    degenerate = Mat2(p, p, p, p)
+    assert _full_rank_witness(degenerate) is None
+    assert is_degenerate(degenerate) and reference_is_degenerate(degenerate)
 
 # endregion
 

@@ -2,7 +2,6 @@
 
 import random
 from fractions import Fraction
-from math import gcd
 
 import pytest
 from hypothesis import given
@@ -21,10 +20,11 @@ from quatsurf import (
     right_div_rem,
     v_slices,
 )
-from quatsurf.qpoly import _BIG_BITS, _canon, _is_big, _qmul
+from quatsurf.qpoly import _BIG_BITS, _canon, _is_big, _norm, _qmul, _rqmul
 from quatsurf.quat import I, J, K, ONE
 
 from helpers import (
+    assert_canonical,
     rand_fraction,
     rand_nonzero_qpolyu,
     rand_qpolyu,
@@ -424,12 +424,6 @@ def operand_pairs(draw, coeffs, max_dv: int):
     return p, q
 
 
-def assert_canonical(poly) -> None:
-    """Every stored tuple has a positive denominator, gcd 1 and a nonzero numerator."""
-    for c in poly._ints.values():
-        assert c[-1] > 0 and gcd(*c) == 1 and any(c[:-1])
-
-
 @pytest.mark.parametrize("core", CORES)
 @given(data=st.data())
 def test_integer_core_matches_the_fraction_oracles(core, data):
@@ -574,6 +568,41 @@ def test_qmul_on_both_sides_of_the_threshold(data):
         expected = reference_add(acc_terms, product if sign > 0 else reference_neg(product))
         assert result.terms == expected
         assert_canonical(result)
+
+
+# endregion
+
+# region real kernels
+
+huge_keys = st.tuples(st.integers(0, 2), st.integers(0, 2))
+huge_qpolys = st.dictionaries(huge_keys, huge_quaternions.filter(bool), max_size=4).map(QPolyUV)
+huge_rpolys = st.dictionaries(huge_keys, huge_rationals.filter(bool), max_size=4).map(RPolyUV)
+
+
+@given(st.lists(huge_qpolys, min_size=1, max_size=3), st.lists(huge_qpolys, max_size=2))
+def test_norm_matches_the_quaternion_product(plus, minus):
+    expected = RPolyUV.zero()
+    for a in plus:
+        expected = expected + (a * a.conj()).components()[0]
+    for a in minus:
+        expected = expected - (a * a.conj()).components()[0]
+    result = RPolyUV._raw(_norm([a._ints for a in plus], [a._ints for a in minus]))
+    assert result == expected
+    assert_canonical(result)
+    # Equal norms cancel exactly, also between different maps: N(a*i) = N(a).
+    a = plus[0]
+    assert not _norm([a._ints], [(a * I)._ints])
+
+
+@given(huge_rpolys, huge_qpolys, st.booleans())
+def test_real_times_quaternion_matches_the_quaternion_product(r, q, cancel):
+    if cancel:
+        # (1 - u)*(1 + u + u**2) = 1 - u**3: the accumulated middle terms cancel.
+        r = r * (1 - RPolyUV.var_u())
+        q = q * (1 + UU + UU * UU)
+    result = QPolyUV._raw(_rqmul(r._ints, q._ints))
+    assert result == r.to_quat() * q
+    assert_canonical(result)
 
 
 # endregion

@@ -238,15 +238,47 @@ def test_full_rank_constant_terms_reject_before_the_reduction(monkeypatch):
 
 
 @pytest.mark.parametrize("m11", [ONE_P + U, ONE_P + V], ids=["1+u", "1+v"])
-def test_full_rank_degenerate_at_the_origin_goes_through_the_fallback(monkeypatch, m11):
-    # Both matrices are [[1, 1], [1, 1]] at (0, 0), so only the reduction and
-    # the whole-matrix test can reject them.
+def test_extreme_terms_reject_before_the_reduction(monkeypatch, m11):
+    # Both matrices are [[1, 1], [1, 1]] at (0, 0), but the leading terms of
+    # c*conj(a)*b and N(a)*d have different exponents.
+    def no_reduction(m):
+        raise AssertionError("the reduction ran")
+
+    monkeypatch.setattr(SPLIT_MODULE, "_reduce", no_reduction)
+    with pytest.raises(NotDegenerate, match=r"^matrix rows are not left-linearly dependent$") as info:
+        split(Mat2(m11, ONE_P, ONE_P, ONE_P))
+    assert info.value.witness == "leading term"
+
+
+@pytest.mark.parametrize("p", [(ONE_P + U) * (ONE_P + V), (ONE_P + U) * (ONE_P + U)], ids=["uv", "u-only"])
+def test_full_rank_degenerate_at_the_origin_goes_through_the_fallback(monkeypatch, p):
+    # u added at m22 moves neither extreme term of either side, so only the
+    # reduction and the whole-matrix test can reject the matrix.
     calls = []
     reduce = SPLIT_MODULE._reduce
     monkeypatch.setattr(SPLIT_MODULE, "_reduce", lambda m: calls.append(m) or reduce(m))
-    with pytest.raises(NotDegenerate, match=r"^matrix rows are not left-linearly dependent$"):
-        split(Mat2(m11, ONE_P, ONE_P, ONE_P))
+    with pytest.raises(NotDegenerate, match=r"^matrix rows are not left-linearly dependent$") as info:
+        split(Mat2(p, p, p, p + U))
     assert len(calls) == 1
+    assert info.value.witness == "identity"
+
+
+@pytest.mark.parametrize(
+    "m, witness",
+    [
+        (Mat2(U, ONE_P, ONE_P, U), "leading term"),
+        (Mat2(ONE_P + U, ONE_P + U, ONE_P + U, U + 2), "trailing term"),
+        (Mat2(ZERO, ONE_P, V, ZERO), "identity"),
+        (Mat2(U, ONE_P, V, ZERO), "identity"),
+    ],
+    ids=["leading", "trailing", "zero-pivot", "zero-m22"],
+)
+def test_not_degenerate_names_its_witness(m, witness):
+    with pytest.raises(NotDegenerate) as info:
+        split(m)
+    assert info.value.witness == witness
+    assert str(info.value) == "matrix rows are not left-linearly dependent"
+    assert not is_degenerate(m)
 
 
 @st.composite

@@ -91,8 +91,9 @@ def is_pythagorean(t: PyTuple) -> bool:
     ``lc(xi)**2`` over the ``xi`` that reach it, and must equal that of
     ``x6**2``.  The trailing terms work the same way.
     """
-    plus = (quat_poly(t.x1, t.x2, t.x3, t.x4)._ints, t.x5.to_quat()._ints)
-    x6 = t.x6.to_quat()._ints
+    # A real map is a quaternionic one, so x5 and x6 go to _norm as they are.
+    plus = (quat_poly(t.x1, t.x2, t.x3, t.x4)._ints, t.x5._ints)
+    x6 = t.x6._ints
     if not (any(plus) and x6):
         return not (any(plus) or x6)
     for pick in (max, min):

@@ -9,11 +9,13 @@ Three classes share one sparse core, ``_SparseUV``:
 * :class:`RPolyUV` restricts coefficients to rationals.  Real polynomials are
   central in the quaternionic ring, which several identities below rely on.
 
-Every coefficient is stored in one canonical integer form: a map from
-exponent pairs ``(du, dv)`` to tuples of ints with the denominator last,
-``(w, x, y, z, d)`` for the quaternion ``(w + xi + yj + zk)/d`` and ``(n, d)``
-for the rational ``n/d``.  A stored tuple has ``d > 0``, entries whose gcd is
-1 and a nonzero numerator, so equal polynomials have equal maps.  Sums,
+Every coefficient is stored in the canonical integer form that
+:class:`Quaternion` holds (see :mod:`quatsurf.quat`): a map from exponent
+pairs ``(du, dv)`` to tuples ``(w, x, y, z, d)`` for the quaternion
+``(w + xi + yj + zk)/d``, with the rational ``n/d`` stored as
+``(n, 0, 0, 0, d)``, so a real polynomial's map is also a quaternionic one.
+A stored tuple has ``d > 0``, entries whose gcd is 1 and a nonzero
+numerator, so equal polynomials have equal maps.  Sums,
 products, conjugates and division steps run on these tuples, with a
 denominator per coefficient, never per polynomial; each output coefficient is
 canonicalized once.  A quaternion product takes 16 integer multiplications
@@ -24,9 +26,9 @@ Two real kernels skip the quaternion product where a value is real:
 ``_norm`` forms ``p*conj(p)``, or a signed sum of such norms, from one dot
 product per unordered term pair, and ``_rqmul`` multiplies a real map into a
 quaternion map with 4 multiplications per term pair.
-``Fraction`` and :class:`Quaternion` values are built only where a caller
-reads them: ``terms``, ``coeff``, ``lead``, ``components``, ``eval``, the
-JSON codec and ``repr``.
+Values are built only where a caller reads them (``terms``, ``coeff``,
+``lead``, ``eval``, the JSON codec and ``repr``): a :class:`Quaternion`
+wraps the stored tuple as it is, and a ``Fraction`` is built from it.
 
 Because the coefficient ring has no zero divisors and the variables are
 central, nonzero polynomials multiply to nonzero polynomials and degrees add
@@ -41,7 +43,8 @@ from math import gcd, lcm
 from typing import Iterable, Mapping
 
 from .errors import DegreeTooHigh, InvalidInput
-from .quat import Quaternion, _coerce as _coerce_rational, _json_object, _ratio_to_str, rational_from_str
+from .quat import Quaternion, _coerce as _coerce_rational, _inverse, _json_object, _neg, _operand, _quat_json
+from .quat import _ratio_to_str, _sum, rational_from_str
 
 #: Degree of the zero polynomial; strictly less than every integer degree.
 NEG_INF = float("-inf")
@@ -50,37 +53,7 @@ _Q_ZERO = Quaternion.zero()
 _ZERO_FR = Fraction(0)
 
 
-def _coerce_quat(value) -> Quaternion:
-    if isinstance(value, Quaternion):
-        return value
-    if isinstance(value, (int, Fraction)):
-        return Quaternion(value)
-    raise TypeError(f"expected a quaternion coefficient, got {type(value).__name__}")
-
-
 # region integer coefficients
-
-
-def _canon(t) -> tuple | None:
-    """``t`` (denominator last, positive) over the gcd of its entries; None if its numerators are all 0."""
-    g = gcd(*t)
-    if g == t[-1] and not any(t[:-1]):
-        return None
-    return tuple(t) if g == 1 else tuple(c // g for c in t)
-
-
-def _sum(a: tuple, b: tuple, sign: int) -> tuple | None:
-    """``a + sign*b`` for canonical tuples of one length, in canonical form."""
-    da, db = a[-1], b[-1]
-    m = da if da == db else lcm(da, db)
-    sa, sb = m // da, sign * (m // db)
-    t = [x * sa + y * sb for x, y in zip(a, b)]
-    t[-1] = m
-    return _canon(t)
-
-
-def _neg(t: tuple) -> tuple:
-    return (*(-c for c in t[:-1]), t[-1])
 
 
 def _combine(p: dict, q: dict, sign: int) -> dict:
@@ -105,13 +78,24 @@ def _is_big(terms: dict) -> bool:
     return False
 
 
+def _terms(out: dict) -> dict:
+    """The canonical term map of accumulated quaternion tuples: each over its gcd, zeros dropped."""
+    res = {}
+    for key, (w, x, y, z, d) in out.items():
+        if w or x or y or z:
+            g = gcd(w, x, y, z, d)
+            res[key] = (w, x, y, z, d) if g == 1 else (w // g, x // g, y // g, z // g, d // g)
+    return res
+
+
 def _qmul(p: dict, q: dict, acc: dict | None = None, sign: int = 1) -> dict:
     """``acc + sign*(p*q)`` on quaternion term maps, with ``p`` on the left.
 
     Integers accumulate per exponent pair, starting from ``acc`` (empty by
     default), over the product of the two denominators or, where those differ
     between terms, their lcm; each output coefficient is then reduced by its
-    gcd once, so a fused ``a - b*c`` costs one pass and one canonicalization.
+    gcd once (:func:`_terms`), so a fused ``a - b*c`` costs one pass and one
+    canonicalization.
 
     Each term pair costs 16 integer multiplications, or 8 when both maps are
     big: when the first stored coefficient of each has a numerator longer
@@ -155,53 +139,18 @@ def _qmul(p: dict, q: dict, acc: dict | None = None, sign: int = 1) -> dict:
                 m = lcm(dc, d)
                 s, t = m // dc, m // d
                 out[key] = (c0 * s + w * t, c1 * s + x * t, c2 * s + y * t, c3 * s + z * t, m)
-    res = {}
-    for key, (w, x, y, z, d) in out.items():
-        if w or x or y or z:
-            g = gcd(w, x, y, z, d)
-            res[key] = (w, x, y, z, d) if g == 1 else (w // g, x // g, y // g, z // g, d // g)
-    return res
-
-
-def _rmul(p: dict, q: dict, acc: dict | None = None, sign: int = 1) -> dict:
-    """``acc + sign*(p*q)`` on rational term maps, accumulated as :func:`_qmul` does."""
-    if sign < 0:
-        p = {key: _neg(c) for key, c in p.items()}
-    out: dict = {} if acc is None else dict(acc)
-    get = out.get
-    for (u1, v1), (a, da) in p.items():
-        for (u2, v2), (b, db) in q.items():
-            key = (u1 + u2, v1 + v2)
-            n, d = a * b, da * db
-            cur = get(key)
-            if cur is None:
-                out[key] = (n, d)
-            elif cur[1] == d:
-                out[key] = (cur[0] + n, d)
-            else:
-                m = lcm(cur[1], d)
-                out[key] = (cur[0] * (m // cur[1]) + n * (m // d), m)
-    return _rational_terms(out)
-
-
-def _rational_terms(out: dict) -> dict:
-    """Canonical rational term map from accumulated ``(n, d)`` pairs, dropping zero numerators."""
-    res = {}
-    for key, (n, d) in out.items():
-        if n:
-            g = gcd(n, d)
-            res[key] = (n // g, d // g)
-    return res
+    return _terms(out)
 
 
 def _norm(plus: Iterable[dict], minus: Iterable[dict] = ()) -> dict:
-    """The norms ``p*conj(p)`` of the quaternion maps in ``plus``, less those in ``minus``, as one rational map.
+    """The norms ``p*conj(p)`` of the quaternion maps in ``plus``, less those in ``minus``, as one real map.
 
     ``p*conj(p)`` is real: the term pairs ``(k, l)`` and ``(l, k)`` give
     conjugate coefficients, whose sum is twice the dot product of their
     numerators.  So each unordered pair ``k <= l`` costs one dot product of 4
     multiplications, doubled off the diagonal, where the quaternion product
-    takes 16 per ordered pair.  Sums accumulate as in :func:`_rmul`.
+    takes 16 per ordered pair.  Sums accumulate as ``(n, d)`` pairs, over a
+    common denominator as in :func:`_qmul`, and each is reduced once.
     """
     out: dict = {}
     get = out.get
@@ -222,18 +171,23 @@ def _norm(plus: Iterable[dict], minus: Iterable[dict] = ()) -> dict:
                     else:
                         m = lcm(cur[1], d)
                         out[key] = (cur[0] * (m // cur[1]) + n * (m // d), m)
-    return _rational_terms(out)
+    res = {}
+    for key, (n, d) in out.items():
+        if n:
+            g = gcd(n, d)
+            res[key] = (n // g, 0, 0, 0, d // g)
+    return res
 
 
 def _rqmul(r: dict, q: dict) -> dict:
-    """``r*q`` for a rational term map ``r`` and a quaternion term map ``q``.
+    """``r*q`` for a real term map ``r`` and a quaternion term map ``q``.
 
-    A real coefficient scales each component, so a term pair costs 4
-    multiplications; sums accumulate and canonicalize as in :func:`_qmul`.
+    A real coefficient ``(n, 0, 0, 0, d)`` scales each component, so a term
+    pair costs 4 multiplications; sums accumulate as in :func:`_qmul`.
     """
     out: dict = {}
     get = out.get
-    for (u1, v1), (n, dn) in r.items():
+    for (u1, v1), (n, _, _, _, dn) in r.items():
         for (u2, v2), (b0, b1, b2, b3, db) in q.items():
             key = (u1 + u2, v1 + v2)
             w, x, y, z, d = n * b0, n * b1, n * b2, n * b3, dn * db
@@ -247,46 +201,15 @@ def _rqmul(r: dict, q: dict) -> dict:
                 m = lcm(dc, d)
                 s, t = m // dc, m // d
                 out[key] = (c0 * s + w * t, c1 * s + x * t, c2 * s + y * t, c3 * s + z * t, m)
-    res = {}
-    for key, (w, x, y, z, d) in out.items():
-        if w or x or y or z:
-            g = gcd(w, x, y, z, d)
-            res[key] = (w, x, y, z, d) if g == 1 else (w // g, x // g, y // g, z // g, d // g)
-    return res
+    return _terms(out)
 
 
 def _quat_ints(value) -> tuple:
-    """A quaternion coefficient over the lcm of its component denominators."""
-    q = _coerce_quat(value)
-    w, x, y, z = q.w, q.x, q.y, q.z
-    d = lcm(w.denominator, x.denominator, y.denominator, z.denominator)
-    return (w.numerator * (d // w.denominator), x.numerator * (d // x.denominator),
-            y.numerator * (d // y.denominator), z.numerator * (d // z.denominator), d)
-
-
-def _quat_value(t: tuple) -> Quaternion:
-    w, x, y, z, d = t
-    return Quaternion(Fraction(w, d), Fraction(x, d), Fraction(y, d), Fraction(z, d))
-
-
-def _ratio(n: int, d: int) -> tuple:
-    """``n/d`` in lowest terms, for ``d > 0``."""
-    g = gcd(n, d)
-    return (n // g, d // g)
-
-
-def _quat_json(t: tuple) -> list[str]:
-    """The JSON of the quaternion ``t``: each component over ``d`` in lowest terms."""
-    return [_ratio_to_str(_ratio(n, t[4])) for n in t[:4]]
-
-
-def _rational_ints(value) -> tuple:
-    r = _coerce_rational(value)
-    return (r.numerator, r.denominator)
-
-
-def _rational_value(t: tuple) -> Fraction:
-    return Fraction(t[0], t[1])
+    """The canonical tuple of a Quaternion, int or Fraction coefficient."""
+    t = _operand(value)
+    if t is None:
+        raise TypeError(f"expected a quaternion coefficient, got {type(value).__name__}")
+    return t
 
 
 # endregion
@@ -478,7 +401,7 @@ class QPolyUV(_SparseUV):
 
     __slots__ = ()
     _to_ints = staticmethod(_quat_ints)
-    _value = staticmethod(_quat_value)
+    _value = staticmethod(Quaternion._raw)
     _mul = staticmethod(_qmul)
     _scalars = (Quaternion, int, Fraction)
     _zero = _Q_ZERO
@@ -495,7 +418,7 @@ class QPolyUV(_SparseUV):
         """Coefficient of the largest monomial in (deg_u, deg_v) lexicographic order."""
         if not self._ints:
             raise ValueError("the zero polynomial has no leading coefficient")
-        return _quat_value(self._ints[max(self._ints)])
+        return Quaternion._raw(self._ints[max(self._ints)])
 
     def conj(self):
         """Coefficientwise conjugation; reverses products, fixes real polynomials."""
@@ -507,7 +430,8 @@ class QPolyUV(_SparseUV):
         for key, (*nums, d) in self._ints.items():
             for target, n in zip(parts, nums):
                 if n:
-                    target[key] = _ratio(n, d)
+                    g = gcd(n, d)
+                    target[key] = (n // g, 0, 0, 0, d // g)
         return tuple(RPolyUV._raw(p) for p in parts)  # type: ignore[return-value]
 
     def to_u_poly(self) -> "QPolyU":
@@ -562,7 +486,7 @@ class QPolyU(_SparseUV):
 
     __slots__ = ()
     _to_ints = staticmethod(_quat_ints)
-    _value = staticmethod(_quat_value)
+    _value = staticmethod(Quaternion._raw)
     _mul = staticmethod(_qmul)
     _scalars = QPolyUV._scalars
     _zero = _Q_ZERO
@@ -626,9 +550,7 @@ def _div_rem(a: QPolyU, b: QPolyU, left: bool) -> tuple[QPolyU, QPolyU]:
     if not b:
         raise ZeroDivisionError("polynomial division by zero")
     bt, db = b._ints, b.degree
-    # The lead c = (w + xi + yj + zk)/d has inverse conj(c)/N(c) = d*(w - xi - yj - zk)/(w^2 + x^2 + y^2 + z^2).
-    w, x, y, z, d = bt[(db, 0)]
-    inv = {(0, 0): _canon((w * d, -x * d, -y * d, -z * d, w * w + x * x + y * y + z * z))}
+    inv = {(0, 0): _inverse(bt[(db, 0)])}
     q: dict = {}
     r = a._ints
     while r and (top := max(r)[0]) >= db:
@@ -649,26 +571,28 @@ class RPolyUV(_SparseUV):
     """Sparse bivariate polynomial with rational coefficients.
 
     Real polynomials commute with everything in sight, which is what makes
-    the Hermitian 6-tuple identities purely computational.
+    the Hermitian 6-tuple identities purely computational.  The term map is
+    a quaternionic one with real coefficients, so :meth:`to_quat` shares it
+    and products run on the quaternion kernel.
     """
 
     __slots__ = ()
-    _to_ints = staticmethod(_rational_ints)
-    _value = staticmethod(_rational_value)
-    _mul = staticmethod(_rmul)
+    _to_ints = staticmethod(lambda value: Quaternion(value)._t)
+    _value = staticmethod(lambda t: Fraction(t[0], t[4]))
+    _mul = staticmethod(_qmul)
     _scalars = (int, Fraction)
     _zero = _ZERO_FR
-    _encode = staticmethod(_ratio_to_str)
+    _encode = staticmethod(lambda t: _ratio_to_str(t[0], t[4]))
     _decode = staticmethod(rational_from_str)
     __mul__ = _SparseUV.__mul__
     __rmul__ = _SparseUV.__rmul__
 
     def __truediv__(self, other):
-        return RPolyUV._raw(_rmul(self._ints, RPolyUV.const(1 / _coerce_rational(other))._ints))
+        return RPolyUV._raw(_rqmul({(0, 0): _inverse(Quaternion(other)._t)}, self._ints))
 
     def to_quat(self) -> QPolyUV:
-        """Embed as a quaternionic polynomial with real coefficients."""
-        return QPolyUV._raw({key: (n, 0, 0, 0, d) for key, (n, d) in self._ints.items()})
+        """Embed as a quaternionic polynomial with real coefficients: the same term map."""
+        return QPolyUV._raw(self._ints)
 
     @classmethod
     def from_json(cls, obj) -> "RPolyUV":
@@ -679,8 +603,8 @@ def quat_poly(w: RPolyUV, x: RPolyUV, y: RPolyUV, z: RPolyUV) -> QPolyUV:
     """Assemble a quaternionic polynomial from four real component polynomials."""
     acc: dict = {}
     for idx, part in enumerate((w, x, y, z)):
-        for key, c in part._ints.items():
-            acc.setdefault(key, [(0, 1)] * 4)[idx] = c
+        for key, (n, _, _, _, d) in part._ints.items():
+            acc.setdefault(key, [(0, 1)] * 4)[idx] = (n, d)
     out = {}
     for key, cs in acc.items():
         # Each component is in lowest terms, so over the lcm the entries have gcd 1.

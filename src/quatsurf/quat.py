@@ -1,14 +1,20 @@
 """Exact quaternion arithmetic over the rationals.
 
-Components are :class:`fractions.Fraction` values, which already guarantee
-lowest terms, a positive denominator, and arbitrary precision, so no separate
-rational type is needed.  Nothing in this module ever touches floats.
+A quaternion ``(w + x*i + y*j + z*k)/d`` is stored as one canonical integer
+tuple ``(w, x, y, z, d)``: ``d > 0``, the five entries have gcd 1, zero is
+``(0, 0, 0, 0, 1)`` and a real ``n/d`` is ``(n, 0, 0, 0, d)``.  Equal values
+therefore have equal tuples.  The polynomials of :mod:`quatsurf.qpoly` store
+their coefficients in the same form, so a coefficient crosses between the two
+modules without conversion.  Arithmetic runs on the integers, and
+:class:`fractions.Fraction` components are built only when read.  Nothing in
+this module ever touches floats.
 """
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from .errors import InvalidInput
 
@@ -22,12 +28,11 @@ def rational_to_str(r: Fraction) -> str:
     Raises:
         InvalidInput: if a part has more digits than the interpreter prints.
     """
-    return _ratio_to_str((r.numerator, r.denominator))
+    return _ratio_to_str(r.numerator, r.denominator)
 
 
-def _ratio_to_str(ratio: tuple[int, int]) -> str:
-    """:func:`rational_to_str` of ``n/d`` for a pair ``(n, d)`` already in lowest terms with ``d > 0``."""
-    n, d = ratio
+def _ratio_to_str(n: int, d: int) -> str:
+    """:func:`rational_to_str` of ``n/d`` for ints already in lowest terms with ``d > 0``."""
     try:
         return str(n) if d == 1 else f"{n}/{d}"
     except ValueError:
@@ -35,14 +40,28 @@ def _ratio_to_str(ratio: tuple[int, int]) -> str:
 
 
 def rational_from_str(text: str) -> Fraction:
-    """Parse a ``p/q`` or ``p`` literal.
+    """Parse a ``p/q`` or ``p`` literal; ``p`` may be a decimal with an exponent.
 
     Raises:
-        InvalidInput: if the literal is malformed or has a zero denominator.
+        InvalidInput: if the literal is malformed, has a zero denominator, or
+            would expand to a numerator or denominator with more digits than
+            ``sys.get_int_max_str_digits()`` allows, the limit that already
+            bounds a literal written out in full.
     """
     if not isinstance(text, str):
         raise InvalidInput(f"expected a rational literal string, got {type(text).__name__}")
     try:
+        head, e, tail = text.upper().partition("E")
+        if e:
+            # Fraction multiplies by 10**|exp| before any check of its own:
+            # count the digits that numerator and denominator reach first.
+            exp = int(tail)
+            whole, _, frac = head.partition(".")
+            num = len(str(abs(int(whole + frac)))) + max(exp, 0)
+            den = 1 + len(frac.replace("_", "")) + max(-exp, 0)
+            limit = sys.get_int_max_str_digits()
+            if limit and max(num, den) > limit:
+                raise InvalidInput(f"rational literal {text!r} expands past {limit} digits")
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise InvalidInput(f"bad rational literal {text!r}") from exc
@@ -81,23 +100,101 @@ def _coerce(value) -> Fraction:
     raise TypeError(f"expected a rational number, got {type(value).__name__}")
 
 
+def _ratio_of(value) -> tuple[int, int]:
+    """An int or Fraction as ``(numerator, denominator)`` in lowest terms; anything else is a TypeError."""
+    if type(value) is int:
+        return value, 1
+    r = _coerce(value)
+    return r.numerator, r.denominator
+
+
+# region canonical tuples
+
+#: The canonical tuple of zero.
+_ZERO = (0, 0, 0, 0, 1)
+
+
+def _canon(t: tuple) -> tuple | None:
+    """``(w, x, y, z, d)`` with ``d > 0`` over the gcd of its entries; None if its numerators are all 0."""
+    w, x, y, z, d = t
+    if not (w or x or y or z):
+        return None
+    g = gcd(w, x, y, z, d)
+    return t if g == 1 else (w // g, x // g, y // g, z // g, d // g)
+
+
+def _sum(a: tuple, b: tuple, sign: int) -> tuple | None:
+    """``a + sign*b`` for canonical tuples, in canonical form; None if it is zero."""
+    a0, a1, a2, a3, da = a
+    b0, b1, b2, b3, db = b
+    m = da if da == db else lcm(da, db)
+    sa, sb = m // da, sign * (m // db)
+    return _canon((a0 * sa + b0 * sb, a1 * sa + b1 * sb, a2 * sa + b2 * sb, a3 * sa + b3 * sb, m))
+
+
+def _neg(t: tuple) -> tuple:
+    w, x, y, z, d = t
+    return (-w, -x, -y, -z, d)
+
+
+def _product(a: tuple, b: tuple) -> tuple | None:
+    """The Hamilton product ``a*b`` of canonical tuples, in canonical form; None if it is zero."""
+    a0, a1, a2, a3, da = a
+    b0, b1, b2, b3, db = b
+    return _canon((
+        a0 * b0 - a1 * b1 - a2 * b2 - a3 * b3,
+        a0 * b1 + a1 * b0 + a2 * b3 - a3 * b2,
+        a0 * b2 - a1 * b3 + a2 * b0 + a3 * b1,
+        a0 * b3 + a1 * b2 - a2 * b1 + a3 * b0,
+        da * db,
+    ))
+
+
+def _inverse(t: tuple) -> tuple:
+    """``conj(c)/N(c) = d*(w - xi - yj - zk)/(w^2 + x^2 + y^2 + z^2)`` for ``t = c``; ZeroDivisionError at zero."""
+    w, x, y, z, d = t
+    n = w * w + x * x + y * y + z * z
+    if not n:
+        raise ZeroDivisionError("the zero quaternion has no inverse")
+    return _canon((w * d, -x * d, -y * d, -z * d, n))
+
+
+def _quat_json(t: tuple) -> list[str]:
+    """The JSON of the quaternion ``t``: each component over ``d`` in lowest terms."""
+    d = t[4]
+    return [_ratio_to_str(n // (g := gcd(n, d)), d // g) for n in t[:4]]
+
+
+# endregion
+
+
 class Quaternion:
     """A quaternion ``w + x*i + y*j + z*k`` with rational components.
 
     Multiplication follows i*i = j*j = k*k = i*j*k = -1, so i*j = k = -j*i;
     the product is associative but not commutative.  Instances are treated as
     immutable values: hashable, comparable by component, never modified.
+    The value is held as the canonical tuple ``_t`` (see the module
+    docstring); ``w``, ``x``, ``y``, ``z`` and :meth:`components` are
+    ``Fraction`` values built on each read.
     """
 
-    __slots__ = ("w", "x", "y", "z")
+    __slots__ = ("_t",)
 
     def __init__(self, w=0, x=0, y=0, z=0):
-        self.w = _coerce(w)
-        self.x = _coerce(x)
-        self.y = _coerce(y)
-        self.z = _coerce(z)
+        (w, dw), (x, dx), (y, dy), (z, dz) = _ratio_of(w), _ratio_of(x), _ratio_of(y), _ratio_of(z)
+        d = lcm(dw, dx, dy, dz)
+        # Components in lowest terms over their lcm already have gcd 1.
+        self._t = (w * (d // dw), x * (d // dx), y * (d // dy), z * (d // dz), d)
 
     # region constructors
+
+    @classmethod
+    def _raw(cls, t: tuple) -> "Quaternion":
+        """Wrap a canonical tuple without re-validation."""
+        q = object.__new__(cls)
+        q._t = t
+        return q
 
     @classmethod
     def zero(cls) -> "Quaternion":
@@ -115,106 +212,72 @@ class Quaternion:
 
     # region structure
 
+    w, x, y, z = (property(lambda self, i=i: Fraction(self._t[i], self._t[4])) for i in range(4))
+
     def components(self) -> tuple[Fraction, Fraction, Fraction, Fraction]:
-        return (self.w, self.x, self.y, self.z)
+        w, x, y, z, d = self._t
+        return (Fraction(w, d), Fraction(x, d), Fraction(y, d), Fraction(z, d))
 
     @property
     def is_zero(self) -> bool:
-        return not (self.w or self.x or self.y or self.z)
+        return self._t == _ZERO
 
     @property
     def is_real(self) -> bool:
-        return not (self.x or self.y or self.z)
+        return not any(self._t[1:4])
 
     def __bool__(self) -> bool:
-        return bool(self.w or self.x or self.y or self.z)
+        return self._t != _ZERO
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, Quaternion):
-            return (
-                self.w == other.w
-                and self.x == other.x
-                and self.y == other.y
-                and self.z == other.z
-            )
-        if isinstance(other, (int, Fraction)):
-            return self.is_real and self.w == other
-        return NotImplemented
+        t = _operand(other)
+        return NotImplemented if t is None else self._t == t
 
     def __hash__(self) -> int:
         # A real quaternion equals its real part, so it hashes as that part does.
-        return hash(self.w) if self.is_real else hash((self.w, self.x, self.y, self.z))
+        return hash(self.w) if self.is_real else hash(self.components())
 
     def __repr__(self) -> str:
-        parts = ", ".join(rational_to_str(c) for c in self.components())
-        return f"Quaternion({parts})"
+        return f"Quaternion({', '.join(_quat_json(self._t))})"
 
     # endregion
 
     # region arithmetic
 
     def __add__(self, other):
-        if isinstance(other, Quaternion):
-            return Quaternion(self.w + other.w, self.x + other.x, self.y + other.y, self.z + other.z)
-        if isinstance(other, (int, Fraction)):
-            return Quaternion(self.w + other, self.x, self.y, self.z)
-        return NotImplemented
+        t = _operand(other)
+        return NotImplemented if t is None else Quaternion._raw(_sum(self._t, t, 1) or _ZERO)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Quaternion(-self.w, -self.x, -self.y, -self.z)
+        return Quaternion._raw(_neg(self._t))
 
     def __sub__(self, other):
-        if isinstance(other, Quaternion):
-            return Quaternion(self.w - other.w, self.x - other.x, self.y - other.y, self.z - other.z)
-        if isinstance(other, (int, Fraction)):
-            return Quaternion(self.w - other, self.x, self.y, self.z)
-        return NotImplemented
+        t = _operand(other)
+        return NotImplemented if t is None else Quaternion._raw(_sum(self._t, t, -1) or _ZERO)
 
     def __rsub__(self, other):
         return (-self).__add__(other)
 
     def __mul__(self, other):
-        if isinstance(other, Quaternion):
-            aw, ax, ay, az = self.w, self.x, self.y, self.z
-            bw, bx, by, bz = other.w, other.x, other.y, other.z
-            # Cross-multiply over common denominators so only four fraction
-            # normalizations happen instead of one per elementary product.
-            da = lcm(aw.denominator, ax.denominator, ay.denominator, az.denominator)
-            db = lcm(bw.denominator, bx.denominator, by.denominator, bz.denominator)
-            a0 = aw.numerator * (da // aw.denominator)
-            a1 = ax.numerator * (da // ax.denominator)
-            a2 = ay.numerator * (da // ay.denominator)
-            a3 = az.numerator * (da // az.denominator)
-            b0 = bw.numerator * (db // bw.denominator)
-            b1 = bx.numerator * (db // bx.denominator)
-            b2 = by.numerator * (db // by.denominator)
-            b3 = bz.numerator * (db // bz.denominator)
-            d = da * db
-            return Quaternion(
-                Fraction(a0 * b0 - a1 * b1 - a2 * b2 - a3 * b3, d),
-                Fraction(a0 * b1 + a1 * b0 + a2 * b3 - a3 * b2, d),
-                Fraction(a0 * b2 - a1 * b3 + a2 * b0 + a3 * b1, d),
-                Fraction(a0 * b3 + a1 * b2 - a2 * b1 + a3 * b0, d),
-            )
-        if isinstance(other, (int, Fraction)):
-            return Quaternion(self.w * other, self.x * other, self.y * other, self.z * other)
-        return NotImplemented
+        t = _operand(other)
+        return NotImplemented if t is None else Quaternion._raw(_product(self._t, t) or _ZERO)
 
     def __rmul__(self, other):
         # Only reached for central scalars; quaternion*quaternion goes through __mul__.
-        if isinstance(other, (int, Fraction)):
-            return Quaternion(self.w * other, self.x * other, self.y * other, self.z * other)
-        return NotImplemented
+        t = _operand(other)
+        return NotImplemented if t is None else Quaternion._raw(_product(t, self._t) or _ZERO)
 
     def conj(self) -> "Quaternion":
         """Conjugate w - x*i - y*j - z*k; an anti-automorphism: conj(a*b) = conj(b)*conj(a)."""
-        return Quaternion(self.w, -self.x, -self.y, -self.z)
+        w, x, y, z, d = self._t
+        return Quaternion._raw((w, -x, -y, -z, d))
 
     def norm_sq(self) -> Fraction:
         """Squared norm w**2 + x**2 + y**2 + z**2; multiplicative over products."""
-        return self.w * self.w + self.x * self.x + self.y * self.y + self.z * self.z
+        w, x, y, z, d = self._t
+        return Fraction(w * w + x * x + y * y + z * z, d * d)
 
     def inverse(self) -> "Quaternion":
         """Two-sided inverse conj(q) / norm_sq(q).
@@ -222,23 +285,30 @@ class Quaternion:
         Raises:
             ZeroDivisionError: for the zero quaternion.
         """
-        n = self.norm_sq()
-        if not n:
-            raise ZeroDivisionError("the zero quaternion has no inverse")
-        return Quaternion(self.w / n, -self.x / n, -self.y / n, -self.z / n)
+        return Quaternion._raw(_inverse(self._t))
 
     # endregion
 
     # region serialization
 
     def to_json(self) -> list[str]:
-        return [rational_to_str(c) for c in self.components()]
+        return _quat_json(self._t)
 
     @classmethod
     def from_json(cls, obj) -> "Quaternion":
         return cls(*_rationals_from_json(obj, 4, "a quaternion must be a 4-element array of rational strings"))
 
     # endregion
+
+
+def _operand(value) -> tuple | None:
+    """The canonical tuple of a Quaternion, int or Fraction; None for any other type."""
+    if isinstance(value, Quaternion):
+        return value._t
+    if isinstance(value, (int, Fraction)):
+        n, d = _ratio_of(value)
+        return (n, 0, 0, 0, d)
+    return None
 
 
 _Q_ZERO = Quaternion(0, 0, 0, 0)

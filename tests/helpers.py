@@ -38,6 +38,7 @@ from quatsurf import (
     is_degenerate,
     kron,
     left_div_rem,
+    rational_to_str,
     stereo_inv,
     swap_cols,
     swap_rows,
@@ -549,6 +550,114 @@ def reference_div_rem(a: dict, b: dict, left: bool) -> tuple[dict, dict]:
         while rc and rc[-1].is_zero:
             rc.pop()
     return qc, {(i, 0): c for i, c in enumerate(rc) if c}
+
+
+# endregion
+
+
+# region reference quaternion with Fraction components
+
+
+class ReferenceQuaternion:
+    """The ``Quaternion`` class as it was before it stored one integer tuple, kept as an oracle.
+
+    Four ``Fraction`` slots, with every operation on ``Fraction`` values; the
+    product is written out on them directly, without the old class's
+    common-denominator shortcut.  ``repr`` names ``Quaternion`` so that the
+    two can be compared.
+    """
+
+    __slots__ = ("w", "x", "y", "z")
+
+    def __init__(self, w=0, x=0, y=0, z=0):
+        self.w = _coerce(w)
+        self.x = _coerce(x)
+        self.y = _coerce(y)
+        self.z = _coerce(z)
+
+    def components(self) -> tuple[Fraction, Fraction, Fraction, Fraction]:
+        return (self.w, self.x, self.y, self.z)
+
+    @property
+    def is_zero(self) -> bool:
+        return not (self.w or self.x or self.y or self.z)
+
+    @property
+    def is_real(self) -> bool:
+        return not (self.x or self.y or self.z)
+
+    def __bool__(self) -> bool:
+        return bool(self.w or self.x or self.y or self.z)
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, ReferenceQuaternion):
+            return self.components() == other.components()
+        if isinstance(other, (int, Fraction)):
+            return self.is_real and self.w == other
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self.w) if self.is_real else hash((self.w, self.x, self.y, self.z))
+
+    def __repr__(self) -> str:
+        parts = ", ".join(rational_to_str(c) for c in self.components())
+        return f"Quaternion({parts})"
+
+    def __add__(self, other):
+        if isinstance(other, ReferenceQuaternion):
+            return ReferenceQuaternion(self.w + other.w, self.x + other.x, self.y + other.y, self.z + other.z)
+        if isinstance(other, (int, Fraction)):
+            return ReferenceQuaternion(self.w + other, self.x, self.y, self.z)
+        return NotImplemented
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return ReferenceQuaternion(-self.w, -self.x, -self.y, -self.z)
+
+    def __sub__(self, other):
+        if isinstance(other, ReferenceQuaternion):
+            return ReferenceQuaternion(self.w - other.w, self.x - other.x, self.y - other.y, self.z - other.z)
+        if isinstance(other, (int, Fraction)):
+            return ReferenceQuaternion(self.w - other, self.x, self.y, self.z)
+        return NotImplemented
+
+    def __rsub__(self, other):
+        return (-self).__add__(other)
+
+    def __mul__(self, other):
+        if isinstance(other, ReferenceQuaternion):
+            a0, a1, a2, a3 = self.components()
+            b0, b1, b2, b3 = other.components()
+            return ReferenceQuaternion(
+                a0 * b0 - a1 * b1 - a2 * b2 - a3 * b3,
+                a0 * b1 + a1 * b0 + a2 * b3 - a3 * b2,
+                a0 * b2 - a1 * b3 + a2 * b0 + a3 * b1,
+                a0 * b3 + a1 * b2 - a2 * b1 + a3 * b0,
+            )
+        if isinstance(other, (int, Fraction)):
+            return ReferenceQuaternion(self.w * other, self.x * other, self.y * other, self.z * other)
+        return NotImplemented
+
+    def __rmul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return ReferenceQuaternion(self.w * other, self.x * other, self.y * other, self.z * other)
+        return NotImplemented
+
+    def conj(self) -> "ReferenceQuaternion":
+        return ReferenceQuaternion(self.w, -self.x, -self.y, -self.z)
+
+    def norm_sq(self) -> Fraction:
+        return self.w * self.w + self.x * self.x + self.y * self.y + self.z * self.z
+
+    def inverse(self) -> "ReferenceQuaternion":
+        n = self.norm_sq()
+        if not n:
+            raise ZeroDivisionError("the zero quaternion has no inverse")
+        return ReferenceQuaternion(self.w / n, -self.x / n, -self.y / n, -self.z / n)
+
+    def to_json(self) -> list[str]:
+        return [rational_to_str(c) for c in self.components()]
 
 
 # endregion

@@ -245,7 +245,7 @@ def _monomial(du, c):
         ],
         lambda tmp: [
             "split",
-            "--in", write_json(tmp / "m.json", [[_monomial(0, "1e5000")] * 2, [_monomial(0, "1")] * 2]),
+            "--in", write_json(tmp / "m.json", [[_monomial(0, "1e-2500"), _monomial(0, "1e2000")]] * 2),
         ],
         lambda tmp: [
             "gen-surface", "--family", "e", "--format", "csv", "--digits", "5000", "--grid", "2",
@@ -275,6 +275,15 @@ def test_malformed_surface_is_clean_error(tmp_path, capsys, family, doc):
     # A string must not be read one character at a time, nor a number raise TypeError.
     path = write_json(tmp_path / "s.json", doc)
     rc, out, err = run(capsys, "gen-surface", "--family", family, "--spec", path)
+    assert rc == 1 and out == ""
+    assert json.loads(err)["error"] == "InvalidInput"
+    assert len(err.splitlines()) == 1
+
+
+def test_exponent_literal_past_the_digit_limit_is_clean_error(tmp_path, capsys):
+    # Fraction would expand "1e5000" to a 5001-digit integer and compute on it.
+    doc = [[_monomial(0, "1e5000"), _monomial(0, "1")], [_monomial(0, "1"), _monomial(0, "1")]]
+    rc, out, err = run(capsys, "degenerate", "--in", write_json(tmp_path / "m.json", doc))
     assert rc == 1 and out == ""
     assert json.loads(err)["error"] == "InvalidInput"
     assert len(err.splitlines()) == 1

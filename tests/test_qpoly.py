@@ -20,8 +20,8 @@ from quatsurf import (
     right_div_rem,
     v_slices,
 )
-from quatsurf.qpoly import _BIG_BITS, _canon, _is_big, _norm, _qmul, _rqmul
-from quatsurf.quat import I, J, K, ONE
+from quatsurf.qpoly import _BIG_BITS, _is_big, _norm, _qmul, _rqmul
+from quatsurf.quat import I, J, K, ONE, _canon
 
 from helpers import (
     assert_canonical,
@@ -603,6 +603,15 @@ def test_real_times_quaternion_matches_the_quaternion_product(r, q, cancel):
     result = QPolyUV._raw(_rqmul(r._ints, q._ints))
     assert result == r.to_quat() * q
     assert_canonical(result)
+
+
+@given(huge_rpolys)
+def test_real_polynomial_survives_the_quaternion_embedding(p):
+    embedded = p.to_quat()
+    assert embedded._ints is p._ints  # the same map, not a copy
+    w, x, y, z = embedded.components()
+    assert w == p and w.terms == p.terms and not (x or y or z)
+    assert w.to_json() == p.to_json() and RPolyUV.from_json(w.to_json()) == p
 
 
 # endregion

@@ -1,5 +1,6 @@
 """Quaternion arithmetic: defining relations, norms, conjugation, JSON."""
 
+import operator
 from fractions import Fraction
 
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 from quatsurf import InvalidInput, Quaternion, rational_from_str, rational_to_str
 from quatsurf.quat import I, J, K, ONE
 
-from helpers import rand_quat
+from helpers import ReferenceQuaternion, rand_quat
 
 import random
 
@@ -126,6 +127,76 @@ def test_thousand_random_pairs_norm_multiplicative():
 
 # endregion
 
+# region differential test against the Fraction reference
+
+# Zero, integers and fractions with numerators and denominators up to 10**30.
+heights = st.one_of(
+    st.just(0),
+    fractions,
+    st.integers(-10**30, 10**30),
+    st.builds(Fraction, st.integers(-10**30, 10**30), st.integers(1, 10**30)),
+)
+component_tuples = st.tuples(heights, heights, heights, heights)
+
+
+def twins(value):
+    """The value under test and its reference: a pair of quaternions for a component tuple, else a scalar twice."""
+    if isinstance(value, tuple):
+        return Quaternion(*value), ReferenceQuaternion(*value)
+    return value, value
+
+
+def assert_same_value(q, r):
+    """``q`` reads exactly as the reference ``r`` through every public view."""
+    assert type(q) is Quaternion and type(r) is ReferenceQuaternion
+    assert q.components() == r.components() and (q.w, q.x, q.y, q.z) == r.components()
+    assert all(type(c) is Fraction for c in (*q.components(), q.w, q.x, q.y, q.z))
+    assert (q.is_real, q.is_zero, bool(q)) == (r.is_real, r.is_zero, bool(r))
+    assert repr(q) == repr(r) and q.to_json() == r.to_json()
+    assert hash(q) == hash(r)
+    assert q.norm_sq() == r.norm_sq() and type(q.norm_sq()) is Fraction
+
+
+@given(component_tuples, st.one_of(component_tuples, heights))
+def test_quaternion_agrees_with_the_fraction_reference(a, b):
+    (qa, ra), (qb, rb) = twins(a), twins(b)
+    assert_same_value(qa, ra)
+    for q, r in ((-qa, -ra), (qa.conj(), ra.conj())):
+        assert_same_value(q, r)
+    if ra.is_zero:
+        with pytest.raises(ZeroDivisionError):
+            qa.inverse()
+        with pytest.raises(ZeroDivisionError):
+            ra.inverse()
+    else:
+        assert_same_value(qa.inverse(), ra.inverse())
+    for op in (operator.add, operator.sub, operator.mul):
+        assert_same_value(op(qa, qb), op(ra, rb))
+        assert_same_value(op(qb, qa), op(rb, ra))
+    assert (qa == qb) == (ra == rb) and (qb == qa) == (rb == ra)
+    assert (qa != qb) == (ra != rb)
+    assert (qa == qa.components()[0]) == (ra == ra.components()[0])
+
+
+def test_real_quaternion_hashes_as_its_fraction():
+    assert hash(Quaternion(Fraction(1, 2))) == hash(Fraction(1, 2)) == hash(ReferenceQuaternion(Fraction(1, 2)))
+
+
+@pytest.mark.parametrize("other", [0.5, "1", None, [1, 0, 0, 0]])
+def test_other_operand_types_are_refused(other):
+    q = Quaternion(1, 2, 3, 4)
+    for op in (operator.add, operator.sub, operator.mul):
+        with pytest.raises(TypeError):
+            op(q, other)
+        with pytest.raises(TypeError):
+            op(other, q)
+    assert q != other
+    with pytest.raises(TypeError):
+        Quaternion(other)
+
+
+# endregion
+
 # region serialization
 
 
@@ -140,6 +211,20 @@ def test_rational_string_rejects_garbage():
     for bad in ("", "abc", "1/0", "2/", None, 3):
         with pytest.raises(InvalidInput):
             rational_from_str(bad)
+
+
+@pytest.mark.parametrize("text", ["1e5000", "1e-4300", "-2.5E4400", "0e5000", "1e99999999999999999999"])
+def test_exponent_literals_past_the_digit_limit_are_rejected(text):
+    # Written out in full, each would have more digits than int() reads from a string.
+    with pytest.raises(InvalidInput):
+        rational_from_str(text)
+
+
+def test_exponent_literals_at_the_digit_limit_are_read():
+    assert rational_from_str("1e4299") == 10**4299
+    assert rational_from_str("1e-4299") == Fraction(1, 10**4299)
+    assert rational_from_str("-2.5E3") == -2500
+    assert rational_from_str(" 1_0.5e-1 ") == Fraction(21, 20)
 
 
 @given(quaternions)

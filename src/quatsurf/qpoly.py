@@ -225,13 +225,13 @@ class _SparseUV:
     immutable values; term maps may be shared between them and are never
     changed.  A subclass fixes the coefficient ring with class attributes:
     ``_to_ints`` turns an accepted scalar into a tuple (raising ``TypeError``
-    otherwise), ``_value`` turns a tuple back into a value, ``_mul(p, q,
-    acc, sign)`` is the fused ``acc + sign*(p*q)`` on term maps, ``_scalars``
+    otherwise), ``_value`` turns a tuple back into a value, ``_scalars``
     lists the scalar types that arithmetic promotes to constants, ``_zero``
-    is the zero coefficient, and ``_encode``
-    (from a tuple) and ``_decode`` (to a value) are the coefficient JSON codec.  Each subclass
-    binds ``__mul__``, ``__rmul__`` and any ``from_json`` in its own body,
-    because ``bench/tracer.py`` wraps them from the subclass's own ``__dict__``.
+    is the zero coefficient, and ``_encode`` (from a tuple) and ``_decode``
+    (to a value) are the coefficient JSON codec.  Every ring multiplies
+    through ``_qmul``.  Each subclass binds ``__mul__``, ``__rmul__`` and any
+    ``from_json`` in its own body, because ``bench/tracer.py`` wraps them
+    from the subclass's own ``__dict__``.
     """
 
     __slots__ = ("_ints",)
@@ -352,16 +352,16 @@ class _SparseUV:
             other = self.const(other)
         if not isinstance(other, type(self)):
             return NotImplemented
-        return self._raw(self._mul(self._ints, other._ints))
+        return self._raw(_qmul(self._ints, other._ints))
 
     def __rmul__(self, other):
         if isinstance(other, self._scalars):
-            return self._raw(self._mul(self.const(other)._ints, self._ints))
+            return self._raw(_qmul(self.const(other)._ints, self._ints))
         return NotImplemented
 
     def _add_mul(self, b, c, sign: int = 1):
         """``self + sign*(b*c)`` for polynomials of this type, in one fused pass."""
-        return self._raw(self._mul(b._ints, c._ints, self._ints, sign))
+        return self._raw(_qmul(b._ints, c._ints, self._ints, sign))
 
     def eval(self, u0, v0):
         """Evaluate at a rational point."""
@@ -402,7 +402,6 @@ class QPolyUV(_SparseUV):
     __slots__ = ()
     _to_ints = staticmethod(_quat_ints)
     _value = staticmethod(Quaternion._raw)
-    _mul = staticmethod(_qmul)
     _scalars = (Quaternion, int, Fraction)
     _zero = _Q_ZERO
     _encode = staticmethod(_quat_json)
@@ -487,7 +486,6 @@ class QPolyU(_SparseUV):
     __slots__ = ()
     _to_ints = staticmethod(_quat_ints)
     _value = staticmethod(Quaternion._raw)
-    _mul = staticmethod(_qmul)
     _scalars = QPolyUV._scalars
     _zero = _Q_ZERO
     _encode = staticmethod(_quat_json)
@@ -579,7 +577,6 @@ class RPolyUV(_SparseUV):
     __slots__ = ()
     _to_ints = staticmethod(lambda value: Quaternion(value)._t)
     _value = staticmethod(lambda t: Fraction(t[0], t[4]))
-    _mul = staticmethod(_qmul)
     _scalars = (int, Fraction)
     _zero = _ZERO_FR
     _encode = staticmethod(lambda t: _ratio_to_str(t[0], t[4]))

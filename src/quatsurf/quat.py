@@ -138,7 +138,7 @@ def _neg(t: tuple) -> tuple:
 
 
 def _product(a: tuple, b: tuple) -> tuple | None:
-    """The Hamilton product ``a*b`` of canonical tuples, in canonical form; None if it is zero."""
+    """The Hamilton product ``a*b`` of any tuples with ``d > 0``, in canonical form; None if it is zero."""
     a0, a1, a2, a3, da = a
     b0, b1, b2, b3, db = b
     return _canon((

@@ -20,6 +20,7 @@ first coordinate axis; ``stereo`` maps (w, x, y, z) to (x, y, z)/(1 - w) and
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
@@ -32,7 +33,7 @@ from .errors import (
     TooFewPoints,
     UnsupportedFamily,
 )
-from .quat import Quaternion, _coerce, _json_array, _json_object, _rationals_from_json, rational_to_str
+from .quat import _coerce, _json_array, _json_object, _product, _rationals_from_json, rational_to_str
 
 Point3 = tuple[Fraction, Fraction, Fraction]
 Point4 = tuple[Fraction, Fraction, Fraction, Fraction]
@@ -49,10 +50,10 @@ def _dot(a, b):
     return sum(x * y for x, y in zip(a, b))
 
 
-def _homogeneous(point) -> tuple[tuple[int, ...], int]:
-    """Rational coordinates as integer numerators over their least common denominator."""
+def _homogeneous(point) -> tuple[int, ...]:
+    """Rational coordinates as ``(n_1, ..., n_dim, d)``: numerators over their least common denominator."""
     d = lcm(*(c.denominator for c in point))
-    return tuple(c.numerator * (d // c.denominator) for c in point), d
+    return (*(c.numerator * (d // c.denominator) for c in point), d)
 
 
 # region circles
@@ -66,8 +67,9 @@ class _Circle:
     length is the radius.  The parametrization covers the whole circle except
     the single point at t = infinity, reachable as ``point_at_infinity()``.
     The frame is also kept on integers, ``(C, E1, E2)`` per coordinate over
-    one common denominator ``L``, so that ``point`` builds one ``Fraction``
-    per coordinate.
+    one common denominator ``L``.  ``_ints`` gives a point from it as the
+    unreduced tuple ``(n_1, ..., n_dim, d)``, ``d > 0``, a quaternion tuple
+    in 4-space; ``point`` is its ``Fraction`` view.
     """
 
     center: tuple[Fraction, ...]
@@ -87,7 +89,7 @@ class _Circle:
             raise InvalidInput("frame vectors must have equal length")
         if not n1:
             raise InvalidInput("frame vectors must be nonzero")
-        nums, den = _homogeneous(self.center + self.e1 + self.e2)
+        *nums, den = _homogeneous(self.center + self.e1 + self.e2)
         dim = self.dim
         rows = tuple(zip(nums[:dim], nums[dim:2 * dim], nums[2 * dim:]))
         object.__setattr__(self, "_frame", (rows, den))
@@ -96,15 +98,18 @@ class _Circle:
     def radius_sq(self) -> Fraction:
         return _dot(self.e1, self.e1)
 
-    def point(self, t) -> tuple[Fraction, ...]:
+    def _ints(self, t) -> tuple[int, ...]:
         # t = p/q: (C*(p**2 + q**2) + E1*(q**2 - p**2) + E2*2pq) / (L*(p**2 + q**2)).
         t = _coerce(t)
         p, q = t.numerator, t.denominator
         s = p * p + q * q
         c, sn = q * q - p * p, 2 * p * q
         rows, den = self._frame
-        d = den * s
-        return tuple(Fraction(x * s + a * c + b * sn, d) for x, a, b in rows)
+        return (*(x * s + a * c + b * sn for x, a, b in rows), den * s)
+
+    def point(self, t) -> tuple[Fraction, ...]:
+        *nums, d = self._ints(t)
+        return tuple(Fraction(n, d) for n in nums)
 
     def point_at_infinity(self) -> tuple[Fraction, ...]:
         return tuple(c - e for c, e in zip(self.center, self.e1))
@@ -225,45 +230,32 @@ _LIFT: tuple[dict, ...] = (
 )
 
 
-def _poly4_mul(p: dict, q: dict) -> dict:
-    out: dict = {}
-    for k1, c1 in p.items():
-        for k2, c2 in q.items():
-            key = tuple(a + b for a, b in zip(k1, k2))
-            s = out.get(key, Fraction(0)) + c1 * c2
-            if s:
-                out[key] = s
-            else:
-                out.pop(key, None)
-    return out
-
-
 def cyclide_implicit(quadric: Quadric4) -> Quartic:
     """The homogeneous quartic cutting out the projected quadric-sphere curve locus.
 
     Substitutes the lift (x**2+y**2+z**2-w**2, 2xw, 2yw, 2zw), homogenized by
     x**2+y**2+z**2+w**2, into the quadratic form.  In the affine chart w = 1
     the vanishing locus is exactly the stereographic image of the
-    intersection of the quadric with the unit sphere.
+    intersection of the quadric with the unit sphere.  The form is summed
+    as ``sum_i L_i * (sum_j q_ij L_j)``: five quadric products.
 
     Raises:
         DegenerateFamily: if the quartic collapses to zero.
     """
-    acc: Quartic = {}
-    for i in range(5):
-        for j in range(5):
-            c = quadric.q[i][j]
-            if not c:
-                continue
-            for key, value in _poly4_mul(_LIFT[i], _LIFT[j]).items():
-                s = acc.get(key, Fraction(0)) + c * value
-                if s:
-                    acc[key] = s
-                else:
-                    acc.pop(key, None)
-    if not acc:
+    acc: dict = {}
+    for lift, row in zip(_LIFT, quadric.q):
+        combo: dict = {}
+        for c, other in zip(row, _LIFT):
+            for key, value in other.items():
+                combo[key] = combo.get(key, 0) + c * value
+        for k1, c1 in lift.items():
+            for k2, c2 in combo.items():
+                key = tuple(a + b for a, b in zip(k1, k2))
+                acc[key] = acc.get(key, 0) + c1 * c2
+    quartic = {key: c for key, c in acc.items() if c}
+    if not quartic:
         raise DegenerateFamily("the quadric pulls back to the zero quartic")
-    return acc
+    return quartic
 
 
 def quartic_value(quartic: Quartic, point3, w=1) -> Fraction:
@@ -349,18 +341,20 @@ class SurfaceSpec:
 
 
 def eval_e(alpha: Circle3, beta: Circle3, u, v) -> Point3:
-    """Translational surface point ``alpha(u) + beta(v)``."""
-    return tuple(a + b for a, b in zip(alpha.point(u), beta.point(v)))
+    """Translational surface point ``alpha(u) + beta(v)``; InvalidInput unless both circles are in 3-space."""
+    SurfaceSpec.family_e(alpha, beta)
+    return _combine("e", alpha._ints(u), beta._ints(v))
 
 
 def eval_c(alpha: CircleS3, beta: CircleS3, u, v) -> Point4:
     """Sphere-product surface point ``alpha(u) * beta(v)`` (quaternion product).
 
-    Both factors have norm 1 exactly, hence so does the product.
+    Both factors have norm 1 exactly, hence so does the product.  Raises
+    InvalidInput unless both circles lie on the unit sphere.
     """
-    a = Quaternion(*alpha.point(u))
-    b = Quaternion(*beta.point(v))
-    return (a * b).components()
+    SurfaceSpec.family_c(alpha, beta)
+    *nums, d = _product(alpha._ints(u), beta._ints(v))
+    return tuple(Fraction(n, d) for n in nums)
 
 
 def stereo(x) -> Point3:
@@ -395,22 +389,22 @@ def grid_params(n: int) -> list[Fraction]:
 def _combine(family: str, a, b) -> Point3 | None:
     """The surface point made of circle points ``a`` (on alpha) and ``b`` (on beta).
 
-    Both come as integer numerators over one denominator, as ``_homogeneous``
+    Both come as integer tuples ``(n_1, ..., n_dim, d)``, as ``_Circle._ints``
     gives them.  Family e adds them; family c multiplies them as quaternions,
     (W, X, Y, Z)/D with D = da*db, and projects to (X, Y, Z)/(D - W), which
     is None at the pole W == D.
     """
     if family == "e":
-        (a0, a1, a2), da = a
-        (b0, b1, b2), db = b
+        a0, a1, a2, da = a
+        b0, b1, b2, db = b
         d = da * db
         return (
             Fraction(a0 * db + b0 * da, d),
             Fraction(a1 * db + b1 * da, d),
             Fraction(a2 * db + b2 * da, d),
         )
-    (a0, a1, a2, a3), da = a
-    (b0, b1, b2, b3), db = b
+    a0, a1, a2, a3, da = a
+    b0, b1, b2, b3, db = b
     gap = da * db - (a0 * b0 - a1 * b1 - a2 * b2 - a3 * b3)
     if not gap:
         return None
@@ -440,10 +434,10 @@ def coordinate_curve(spec: SurfaceSpec, which: str, fixed, samples, *, mask_pole
     if spec.family == "d":
         raise UnsupportedFamily("implicit surfaces have no parametric coordinate curves")
     frozen, moving = (spec.alpha, spec.beta) if which == "u" else (spec.beta, spec.alpha)
-    held = _homogeneous(frozen.point(fixed))
+    held = frozen._ints(fixed)
     out = []
     for t in samples:
-        free = _homogeneous(moving.point(t))
+        free = moving._ints(t)
         cell = _combine(spec.family, held, free) if which == "u" else _combine(spec.family, free, held)
         if cell is not None:
             out.append(cell)
@@ -468,8 +462,8 @@ def sample_grid(spec: SurfaceSpec, n: int):
     if n < 2:
         raise InvalidInput("need at least a 2x2 grid")
     ts = grid_params(n)
-    alphas = [_homogeneous(spec.alpha.point(t)) for t in ts]
-    betas = [_homogeneous(spec.beta.point(t)) for t in ts]
+    alphas = [spec.alpha._ints(t) for t in ts]
+    betas = [spec.beta._ints(t) for t in ts]
     return [[_combine(spec.family, a, b) for b in betas] for a in alphas]
 
 
@@ -506,8 +500,8 @@ def is_circle_or_line(points) -> bool:
     pts = [_homogeneous(_vec(p, 3)) for p in points]
     if len(pts) < 5 or len(set(pts)) != len(pts):
         raise TooFewPoints("need at least five pairwise distinct points")
-    (x0, y0, z0), d0 = pts[0]
-    rel = [((x * d0 - x0 * d, y * d0 - y0 * d, z * d0 - z0 * d), d0 * d) for (x, y, z), d in pts]
+    x0, y0, z0, d0 = pts[0]
+    rel = [((x * d0 - x0 * d, y * d0 - y0 * d, z * d0 - z0 * d), d0 * d) for x, y, z, d in pts]
     a, sa = rel[1]
     for b, sb in rel[2:]:
         n = _cross(a, b)
@@ -544,6 +538,9 @@ def render_decimal(value: Fraction, digits: int = 12) -> str:
     """
     if digits < 0:
         raise InvalidInput("the number of decimal digits must be nonnegative")
+    limit = sys.get_int_max_str_digits()
+    if limit and digits > limit:
+        raise InvalidInput("a decimal has too many digits to print")
     value = _coerce(value)
     scale = 10**digits
     scaled, rest = divmod(value.numerator * scale, value.denominator)

@@ -18,6 +18,7 @@ from math import gcd, lcm
 from quatsurf import (
     Circle3,
     CircleS3,
+    DegenerateFamily,
     InvalidInput,
     Mat2,
     NoProgress,
@@ -45,6 +46,7 @@ from quatsurf import (
     v_slices,
 )
 from quatsurf.quat import _coerce
+from quatsurf.surfaces import _LIFT
 
 # region random exact values
 
@@ -1000,6 +1002,48 @@ def reference_render_decimal(value: Fraction, digits: int = 12) -> str:
         return f"{sign}{ip}.{str(fp).zfill(digits)}" if digits else f"{sign}{ip}"
     except ValueError:
         raise InvalidInput("a decimal has too many digits to print") from None
+
+
+# endregion
+
+
+# region reference cyclide quartic
+
+# The pullback quatsurf.surfaces ran before it summed the form row by row:
+# 25 products of two lift components, each scaled by its matrix entry, with
+# zeros dropped as they arise.  Kept verbatim as an oracle.
+
+
+def _reference_poly4_mul(p: dict, q: dict) -> dict:
+    out: dict = {}
+    for k1, c1 in p.items():
+        for k2, c2 in q.items():
+            key = tuple(a + b for a, b in zip(k1, k2))
+            s = out.get(key, Fraction(0)) + c1 * c2
+            if s:
+                out[key] = s
+            else:
+                out.pop(key, None)
+    return out
+
+
+def reference_cyclide_implicit(quadric) -> dict:
+    """``cyclide_implicit``: the sum of ``q_ij * L_i * L_j`` over all 25 entries."""
+    acc: dict = {}
+    for i in range(5):
+        for j in range(5):
+            c = quadric.q[i][j]
+            if not c:
+                continue
+            for key, value in _reference_poly4_mul(_LIFT[i], _LIFT[j]).items():
+                s = acc.get(key, Fraction(0)) + c * value
+                if s:
+                    acc[key] = s
+                else:
+                    acc.pop(key, None)
+    if not acc:
+        raise DegenerateFamily("the quadric pulls back to the zero quartic")
+    return acc
 
 
 # endregion

@@ -1,10 +1,11 @@
 """Circles, stereographic projection, cyclides, grids, exports."""
 
 import random
+import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from quatsurf import (
@@ -36,11 +37,14 @@ from quatsurf import (
 )
 
 from helpers import (
+    _reference_eval_c,
+    _reference_eval_e,
     rand_circle3,
     rand_circle_s3,
     rand_fraction,
     reference_circle_or_line,
     reference_circle_point,
+    reference_cyclide_implicit,
     reference_plane_circumcenter,
     reference_coordinate_curve,
     reference_render_decimal,
@@ -236,6 +240,34 @@ def test_eval_c_unit_norm():
         assert sum(c * c for c in eval_c(alpha, beta, u0, v0)) == 1
 
 
+@given(st.integers(0, 2**32), st.booleans(), wide_params, wide_params)
+def test_eval_matches_fraction_reference(seed, on_sphere, u, v):
+    rng = random.Random(seed)
+    if on_sphere:
+        alpha, beta = rand_circle_s3(rng), rand_circle_s3(rng)
+        point, expected = eval_c(alpha, beta, u, v), _reference_eval_c(alpha, beta, u, v)
+    else:
+        alpha, beta = rand_circle3(rng), rand_circle3(rng)
+        point, expected = eval_e(alpha, beta, u, v), _reference_eval_e(alpha, beta, u, v)
+    assert point == expected and len(point) == alpha.dim
+    assert all(type(c) is Fraction for c in point)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: eval_e(GREAT_CIRCLE, GREAT_CIRCLE, 0, 1),
+        lambda: eval_e(XY_CIRCLE, GREAT_CIRCLE, 0, 1),
+        lambda: eval_c(XY_CIRCLE, XZ_CIRCLE, 0, 1),
+    ],
+    ids=["e-sphere-circles", "e-mixed-circles", "c-3-space-circles"],
+)
+def test_eval_rejects_the_wrong_circle_kind(call):
+    # Unchecked, each would return a point: a 4-vector, a truncated 3-vector, a 4-vector.
+    with pytest.raises(InvalidInput, match="family"):
+        call()
+
+
 # endregion
 
 # region stereographic projection
@@ -339,6 +371,39 @@ def test_generic_quadric_gives_nonzero_quartic():
     quartic = cyclide_implicit(diag)
     assert quartic
     assert all(sum(key) == 4 for key in quartic)
+
+
+form_entries = st.one_of(st.just(Fraction(0)), st.fractions(min_value=-50, max_value=50, max_denominator=999))
+SPHERE_FORM = ((1, 0, 0, 0, 0), (0, 1, 0, 0, 0), (0, 0, 1, 0, 0), (0, 0, 0, 1, 0), (0, 0, 0, 0, -1))
+
+
+@st.composite
+def symmetric_forms(draw):
+    """Symmetric 5x5 rational forms with zero rows and entries, plus a multiple of the sphere form."""
+    upper = {(i, j): draw(form_entries) for i in range(5) for j in range(i, 5)}
+    for i in draw(st.sets(st.integers(0, 4))):
+        upper.update({(min(i, j), max(i, j)): Fraction(0) for j in range(5)})
+    k = draw(form_entries)
+    rows = [[upper[min(i, j), max(i, j)] for j in range(5)] for i in range(5)]
+    return tuple(tuple(c + k * s for c, s in zip(row, sphere)) for row, sphere in zip(rows, SPHERE_FORM))
+
+
+def _quartic_outcome(fn, quadric):
+    try:
+        return fn(quadric)
+    except DegenerateFamily as exc:
+        return type(exc)
+
+
+@given(symmetric_forms())
+@example(tuple(tuple(Fraction(0) for _ in row) for row in SPHERE_FORM))
+@example(tuple(tuple(Fraction(3, 2) * c for c in row) for row in SPHERE_FORM))
+def test_cyclide_implicit_matches_the_25_product_reference(rows):
+    # Built unchecked, so sphere multiples reach the pullback and collapse to zero there.
+    quadric = object.__new__(Quadric4)
+    object.__setattr__(quadric, "q", rows)
+    expected = _quartic_outcome(reference_cyclide_implicit, quadric)
+    assert _quartic_outcome(cyclide_implicit, quadric) == expected
 
 
 # endregion
@@ -459,11 +524,11 @@ def test_each_circle_is_evaluated_once_per_parameter(monkeypatch, family):
         spec = SurfaceSpec.family_c(rand_circle_s3(rng), rand_circle_s3(rng))
     calls = []
     for cls in (Circle3, CircleS3):
-        def counted(self, t, point=cls.point):
+        def counted(self, t, ints=cls._ints):
             calls.append(t)
-            return point(self, t)
+            return ints(self, t)
 
-        monkeypatch.setattr(cls, "point", counted)
+        monkeypatch.setattr(cls, "_ints", counted)
     for n in (2, 5, 24):
         calls.clear()
         sample_grid(spec, n)
@@ -721,6 +786,15 @@ def test_render_decimal():
     assert render_decimal(Fraction(25, 1000), 2) == "0.02"
     with pytest.raises(InvalidInput):
         render_decimal(Fraction(1, 3), -2)
+
+
+def test_render_decimal_holds_digits_to_the_int_digit_limit():
+    # Past the limit every value is refused, before 10**digits is formed.
+    limit = sys.get_int_max_str_digits()
+    assert render_decimal(Fraction(7), limit) == "7." + "0" * limit
+    for value in (Fraction(7), Fraction(1, 3)):
+        with pytest.raises(InvalidInput, match="too many digits"):
+            render_decimal(value, limit + 1)
 
 
 @given(

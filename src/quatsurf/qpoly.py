@@ -43,7 +43,7 @@ from math import gcd, lcm
 from typing import Iterable, Mapping
 
 from .errors import DegreeTooHigh, InvalidInput
-from .quat import Quaternion, _coerce as _coerce_rational, _inverse, _json_object, _neg, _operand, _quat_json
+from .quat import Quaternion, _canon, _coerce as _coerce_rational, _inverse, _json_object, _neg, _operand, _quat_json
 from .quat import _ratio_to_str, _sum, rational_from_str
 
 #: Degree of the zero polynomial; strictly less than every integer degree.
@@ -80,12 +80,7 @@ def _is_big(terms: dict) -> bool:
 
 def _terms(out: dict) -> dict:
     """The canonical term map of accumulated quaternion tuples: each over its gcd, zeros dropped."""
-    res = {}
-    for key, (w, x, y, z, d) in out.items():
-        if w or x or y or z:
-            g = gcd(w, x, y, z, d)
-            res[key] = (w, x, y, z, d) if g == 1 else (w // g, x // g, y // g, z // g, d // g)
-    return res
+    return {key: c for key, t in out.items() if (c := _canon(t)) is not None}
 
 
 def _qmul(p: dict, q: dict, acc: dict | None = None, sign: int = 1) -> dict:

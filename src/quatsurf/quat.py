@@ -8,6 +8,10 @@ their coefficients in the same form, so a coefficient crosses between the two
 modules without conversion.  Arithmetic runs on the integers, and
 :class:`fractions.Fraction` components are built only when read.  Nothing in
 this module ever touches floats.
+
+:func:`_hamilton` is the one scalar Hamilton product and :func:`_canon` the
+one reduction to canonical form; only :func:`quatsurf.qpoly._qmul` repeats the
+product inline, per term pair, where a call would cost too much.
 """
 
 from __future__ import annotations
@@ -137,17 +141,22 @@ def _neg(t: tuple) -> tuple:
     return (-w, -x, -y, -z, d)
 
 
-def _product(a: tuple, b: tuple) -> tuple | None:
-    """The Hamilton product ``a*b`` of any tuples with ``d > 0``, in canonical form; None if it is zero."""
+def _hamilton(a: tuple, b: tuple) -> tuple:
+    """The Hamilton product ``a*b`` of any tuples with ``d > 0``, unreduced, over ``da*db``."""
     a0, a1, a2, a3, da = a
     b0, b1, b2, b3, db = b
-    return _canon((
+    return (
         a0 * b0 - a1 * b1 - a2 * b2 - a3 * b3,
         a0 * b1 + a1 * b0 + a2 * b3 - a3 * b2,
         a0 * b2 - a1 * b3 + a2 * b0 + a3 * b1,
         a0 * b3 + a1 * b2 - a2 * b1 + a3 * b0,
         da * db,
-    ))
+    )
+
+
+def _product(a: tuple, b: tuple) -> tuple | None:
+    """:func:`_hamilton` in canonical form; None if it is zero."""
+    return _canon(_hamilton(a, b))
 
 
 def _inverse(t: tuple) -> tuple:

@@ -2,7 +2,8 @@
 
 Given a degenerate matrix whose entries have v-degree at most 1, :func:`split`
 produces vectors x, y with ``m_ij = x_i * y_j``.  The reduction is a loop of
-elementary moves, each of which is undone on the factors afterwards:
+the elementary moves defined in :mod:`quatsurf.qmat`, replayed here, each of
+which is undone on the factors afterwards:
 
 * row swap, column swap, conjugate transpose (relabel the factor slots), and
 * a column operation ``col1 -= col2 * x`` with x free of v, which turns a
@@ -36,7 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import NoProgress, NotDegenerate, PreconditionDegree
-from .qmat import Mat2, Vec2, _full_rank_witness, is_degenerate, kron
+from .qmat import _CT, _SC, _SR, Mat2, Vec2, _full_rank_witness, _move, is_degenerate, kron
 from .qpoly import QPolyU, QPolyUV, _from_v_slices, left_div_rem, v_slices
 from .quat import _json_object
 
@@ -57,10 +58,8 @@ class SplitCertificate:
         return cls(Vec2.from_json(obj["x"]), Vec2.from_json(obj["y"]))
 
 
-# Basic moves recorded while reducing; replayed backwards over the factors.
-_SR = "sr"
-_SC = "sc"
-_CT = "ct"
+# Moves recorded while reducing, replayed backwards over the factors: the
+# basic symmetries of qmat and the column operation.
 _CO = "co"
 
 # The eight symmetries generated by the three basic ones, as move sequences
@@ -120,21 +119,6 @@ def _factor_with_zero(m: Mat2) -> tuple[tuple[QPolyUV, QPolyUV], tuple[QPolyUV, 
     if not (a or b):
         return (zero, one), (c, d)
     raise NoProgress("a zero entry with both neighbors nonzero contradicts degeneracy")
-
-
-def _move(four, op: str):
-    """Four entries, or their drivers, after the basic symmetry ``op``.
-
-    v is central and conjugation acts coefficientwise, so each v-slope follows
-    its entry: swaps permute the four, and the conjugate transpose also
-    conjugates them.  The same permutation moves the matrix and its drivers.
-    """
-    s11, s12, s21, s22 = four
-    if op == _SR:
-        return (s21, s22, s11, s12)
-    if op == _SC:
-        return (s12, s11, s22, s21)
-    return (s11.conj(), s21.conj(), s12.conj(), s22.conj())
 
 
 def _drivers(m: Mat2) -> tuple[QPolyU, QPolyU, QPolyU, QPolyU]:
@@ -203,7 +187,7 @@ def _reduce(m: Mat2) -> SplitCertificate:
             full-rank matrix gets here only if the extreme terms of its
             pivot identity agree.
     """
-    deg_bound = max((int(e.deg_u) for e in m.entries() if e), default=0)
+    deg_bound = max((e.deg_u for e in m.entries() if e), default=0)
     step_cap = (1 + deg_bound) * 16
 
     moves: list = []

@@ -33,7 +33,7 @@ from .errors import (
     TooFewPoints,
     UnsupportedFamily,
 )
-from .quat import _coerce, _json_array, _json_object, _product, _rationals_from_json, rational_to_str
+from .quat import _coerce, _hamilton, _json_array, _json_object, _product, _rationals_from_json, rational_to_str
 
 Point3 = tuple[Fraction, Fraction, Fraction]
 Point4 = tuple[Fraction, Fraction, Fraction, Fraction]
@@ -237,10 +237,8 @@ def cyclide_implicit(quadric: Quadric4) -> Quartic:
     x**2+y**2+z**2+w**2, into the quadratic form.  In the affine chart w = 1
     the vanishing locus is exactly the stereographic image of the
     intersection of the quadric with the unit sphere.  The form is summed
-    as ``sum_i L_i * (sum_j q_ij L_j)``: five quadric products.
-
-    Raises:
-        DegenerateFamily: if the quartic collapses to zero.
+    as ``sum_i L_i * (sum_j q_ij L_j)``: five quadric products.  Only
+    sphere multiples pull back to zero, and :class:`Quadric4` rejects those.
     """
     acc: dict = {}
     for lift, row in zip(_LIFT, quadric.q):
@@ -252,10 +250,7 @@ def cyclide_implicit(quadric: Quadric4) -> Quartic:
             for k2, c2 in combo.items():
                 key = tuple(a + b for a, b in zip(k1, k2))
                 acc[key] = acc.get(key, 0) + c1 * c2
-    quartic = {key: c for key, c in acc.items() if c}
-    if not quartic:
-        raise DegenerateFamily("the quadric pulls back to the zero quartic")
-    return quartic
+    return {key: c for key, c in acc.items() if c}
 
 
 def quartic_value(quartic: Quartic, point3, w=1) -> Fraction:
@@ -403,16 +398,11 @@ def _combine(family: str, a, b) -> Point3 | None:
             Fraction(a1 * db + b1 * da, d),
             Fraction(a2 * db + b2 * da, d),
         )
-    a0, a1, a2, a3, da = a
-    b0, b1, b2, b3, db = b
-    gap = da * db - (a0 * b0 - a1 * b1 - a2 * b2 - a3 * b3)
+    w, x, y, z, d = _hamilton(a, b)
+    gap = d - w
     if not gap:
         return None
-    return (
-        Fraction(a0 * b1 + a1 * b0 + a2 * b3 - a3 * b2, gap),
-        Fraction(a0 * b2 - a1 * b3 + a2 * b0 + a3 * b1, gap),
-        Fraction(a0 * b3 + a1 * b2 - a2 * b1 + a3 * b0, gap),
-    )
+    return (Fraction(x, gap), Fraction(y, gap), Fraction(z, gap))
 
 
 def coordinate_curve(spec: SurfaceSpec, which: str, fixed, samples, *, mask_poles: bool = False):

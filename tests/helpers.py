@@ -18,7 +18,6 @@ from math import gcd, lcm
 from quatsurf import (
     Circle3,
     CircleS3,
-    DegenerateFamily,
     InvalidInput,
     Mat2,
     NoProgress,
@@ -1041,8 +1040,6 @@ def reference_cyclide_implicit(quadric) -> dict:
                     acc[key] = s
                 else:
                     acc.pop(key, None)
-    if not acc:
-        raise DegenerateFamily("the quadric pulls back to the zero quartic")
     return acc
 
 

@@ -66,6 +66,8 @@ def test_col_op_identity_and_example():
     moved = col_op(m, ONE_P)
     assert (moved.m11, moved.m12) == (ONE_P - V, V)
     assert (moved.m21, moved.m22) == (U - U * V, U * V)
+    # A scalar stands for the constant polynomial.
+    assert col_op(m, 1) == col_op(m, ONE) == moved
 
 
 def test_col_op_split_recovery():

@@ -27,6 +27,7 @@ from quatsurf import (
     swap_cols,
     swap_rows,
 )
+from quatsurf.qmat import _CT, _SC, _SR, _move
 from quatsurf.quat import I, J, K, ONE
 from quatsurf.split import _drivers, _measure, _slopes, _step
 
@@ -163,6 +164,16 @@ def test_each_v_step_shrinks_the_measure_of_the_matrix():
             assert _measure(_drivers(m)) < before
             v_free_steps += 1
     assert v_free_steps > 40
+
+
+def test_v_slopes_follow_their_entries_under_each_move():
+    # _step moves only the slopes while it ranks the symmetries, and moves the
+    # matrix by the same steps once it accepts one.
+    rng = random.Random(40)
+    for _ in range(40):
+        m = Mat2(*(rand_qpolyuv(rng, 2, 1) for _ in range(4)))
+        for op in (_SR, _SC, _CT):
+            assert _move(_slopes(m), op) == _slopes(Mat2(*_move(m.entries(), op)))
 
 
 @st.composite

@@ -388,22 +388,55 @@ def symmetric_forms(draw):
     return tuple(tuple(c + k * s for c, s in zip(row, sphere)) for row, sphere in zip(rows, SPHERE_FORM))
 
 
-def _quartic_outcome(fn, quadric):
-    try:
-        return fn(quadric)
-    except DegenerateFamily as exc:
-        return type(exc)
-
-
 @given(symmetric_forms())
 @example(tuple(tuple(Fraction(0) for _ in row) for row in SPHERE_FORM))
 @example(tuple(tuple(Fraction(3, 2) * c for c in row) for row in SPHERE_FORM))
 def test_cyclide_implicit_matches_the_25_product_reference(rows):
-    # Built unchecked, so sphere multiples reach the pullback and collapse to zero there.
+    # Built unchecked, so sphere multiples reach the pullback and give {} on both sides.
     quadric = object.__new__(Quadric4)
     object.__setattr__(quadric, "q", rows)
-    expected = _quartic_outcome(reference_cyclide_implicit, quadric)
-    assert _quartic_outcome(cyclide_implicit, quadric) == expected
+    assert cyclide_implicit(quadric) == reference_cyclide_implicit(quadric)
+
+
+def _kernel(images: list[dict]) -> tuple[int, list[list[Fraction]]]:
+    """Rank and kernel basis of the linear map sending basis vector k to the term map ``images[k]``."""
+    keys = sorted({key for image in images for key in image})
+    rows = [[Fraction(image.get(key, 0)) for image in images] for key in keys]
+    pivots: list[int] = []
+    for col in range(len(images)):
+        r = len(pivots)
+        p = next((i for i in range(r, len(rows)) if rows[i][col]), None)
+        if p is None:
+            continue
+        rows[r], rows[p] = rows[p], rows[r]
+        rows[r] = [c / rows[r][col] for c in rows[r]]
+        for i, row in enumerate(rows):
+            if i != r and row[col]:
+                rows[i] = [a - row[col] * b for a, b in zip(row, rows[r])]
+        pivots.append(col)
+    kernel = []
+    for free in (c for c in range(len(images)) if c not in pivots):
+        vec = [Fraction(int(c == free)) for c in range(len(images))]
+        for i, col in enumerate(pivots):
+            vec[col] = -rows[i][free]
+        kernel.append(vec)
+    return len(pivots), kernel
+
+
+def test_only_sphere_multiples_pull_back_to_zero():
+    # Quadric4 rejects sphere multiples, so cyclide_implicit never returns {} on a valid quadric.
+    pairs = [(i, j) for i in range(5) for j in range(i, 5)]
+    images = []
+    for i, j in pairs:
+        rows = [[0] * 5 for _ in range(5)]
+        rows[i][j] = rows[j][i] = 1
+        images.append(reference_cyclide_implicit(Quadric4(tuple(map(tuple, rows)))))
+    rank, kernel = _kernel(images)
+    assert rank == 14
+    (vec,) = kernel
+    sphere = [SPHERE_FORM[i][j] for i, j in pairs]
+    scale = vec[-1] / sphere[-1]
+    assert vec == [scale * c for c in sphere]
 
 
 # endregion

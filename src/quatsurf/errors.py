@@ -57,7 +57,7 @@ class DegenerateFamily(QuatsurfError):
 
 
 class TooFewPoints(QuatsurfError):
-    """Fewer than five pairwise distinct points were supplied."""
+    """Fewer than five points were supplied, or two of them are equal."""
 
 
 class UnsupportedFamily(QuatsurfError):

@@ -236,8 +236,8 @@ class _SparseUV:
         items = terms.items() if isinstance(terms, Mapping) else terms
         acc: dict = {}
         for (du, dv), value in items:
-            if du < 0 or dv < 0:
-                raise InvalidInput("polynomial exponents must be nonnegative")
+            if type(du) is not int or type(dv) is not int or du < 0 or dv < 0:
+                raise InvalidInput("polynomial exponents must be nonnegative integers")
             key = (du, dv)
             # A converted value is canonical already unless it is zero.
             c, prev = to_ints(value), acc.pop(key, None)
@@ -379,10 +379,7 @@ class _SparseUV:
         terms = []
         for entry in obj:
             _json_object(entry, {"u", "v", "c"}, "each monomial needs integer 'u', 'v' and a coefficient 'c'")
-            du, dv = entry["u"], entry["v"]
-            if type(du) is not int or type(dv) is not int or du < 0 or dv < 0:
-                raise InvalidInput("monomial exponents must be nonnegative integers")
-            terms.append(((du, dv), decode(entry["c"])))
+            terms.append(((entry["u"], entry["v"]), decode(entry["c"])))
         return cls._of(terms)
 
 

@@ -9,15 +9,17 @@ which is undone on the factors afterwards:
 * a column operation ``col1 -= col2 * x`` with x free of v, which turns a
   certificate (a, b) of the reduced matrix into (a, (b1 + b2*x, b2)).
 
-One division game drives the reduction.  Its drivers are the v-slopes of
-``m_ij = s_ij(u)*v + ...`` while some entry depends on v, and the entries
-themselves once the matrix is v-free: a symmetry is chosen that puts a
-nonzero driver of minimal degree at position 22 with a nonzero driver at 21,
-and the division ``d21 = d22*q + r`` feeds the column operation.  Each
+One division game drives the reduction, on the v-slices of the entries
+``m_ij = s_ij(u)*v + c_ij(u)``, cut once from the input: the eight slices are
+the whole reduction state.  The drivers are the slopes ``s_ij`` while any is
+nonzero, and the v-free parts ``c_ij`` after that.  A symmetry is chosen that
+puts a nonzero driver of minimal degree at position 22 with a nonzero driver
+at 21, and the division ``d21 = d22*q + r`` feeds the column operation.  Each
 accepted step strictly shrinks the pair (number of nonzero drivers, minimal
-driver degree) in lexicographic order, and carries the matrix forward from
-the products it ranked with.  A matrix with a zero entry has a zero row or
-column and factors by inspection.
+driver degree) in lexicographic order; the other four slices follow their
+entries through the same moves and the same ``q``.  Once an entry is zero the
+matrix is assembled from its slices; it has a zero row or column and factors
+by inspection.
 
 Degeneracy is tested up front only on the extreme terms of the pivot
 identity of :func:`is_degenerate`: the leading and trailing terms of
@@ -38,7 +40,7 @@ from dataclasses import dataclass
 
 from .errors import NoProgress, NotDegenerate, PreconditionDegree
 from .qmat import _CT, _SC, _SR, Mat2, Vec2, _full_rank_witness, _move, is_degenerate, kron
-from .qpoly import QPolyU, QPolyUV, _from_v_slices, left_div_rem, v_slices
+from .qpoly import QPolyUV, _from_v_slices, left_div_rem, v_slices
 from .quat import _json_object
 
 
@@ -89,12 +91,8 @@ def _undo_on_factors(x: tuple[QPolyUV, QPolyUV], y: tuple[QPolyUV, QPolyUV], mov
     return x, (y[0]._add_mul(y[1], move[1]), y[1])
 
 
-def _slopes(m: Mat2) -> tuple[QPolyU, QPolyU, QPolyU, QPolyU]:
-    return tuple(v_slices(e)[0] for e in m.entries())  # type: ignore[return-value]
-
-
-def _measure(slopes) -> tuple[int, int]:
-    degrees = [s.degree for s in slopes if s]
+def _measure(drivers) -> tuple[int, int]:
+    degrees = [s.degree for s in drivers if s]
     if not degrees:
         return (0, -1)
     return (len(degrees), min(degrees))
@@ -103,13 +101,16 @@ def _measure(slopes) -> tuple[int, int]:
 def _factor_with_zero(m: Mat2) -> tuple[tuple[QPolyUV, QPolyUV], tuple[QPolyUV, QPolyUV]]:
     """Factor a matrix that has at least one zero entry, by inspection.
 
-    Degeneracy forces the product of a zero entry's two neighbors to vanish,
+    The zero matrix factors as ``x = (0, 0)``, ``y = (1, 0)``.  Otherwise
+    degeneracy forces the product of a zero entry's two neighbors to vanish,
     and the coefficient ring has no zero divisors, so a whole row or column is
     zero.  When more than one is, the first in the order below is read off.
     """
     a, b, c, d = m.entries()
     one = QPolyUV.one()
     zero = QPolyUV.zero()
+    if not (a or b or c or d):
+        return (zero, zero), (one, zero)
     if not (c or d):
         return (one, zero), (a, b)
     if not (b or d):
@@ -121,65 +122,55 @@ def _factor_with_zero(m: Mat2) -> tuple[tuple[QPolyUV, QPolyUV], tuple[QPolyUV, 
     raise NoProgress("a zero entry with both neighbors nonzero contradicts degeneracy")
 
 
-def _drivers(m: Mat2) -> tuple[QPolyU, QPolyU, QPolyU, QPolyU]:
-    """The v-slopes while any is nonzero, else the entries as u-polynomials."""
-    slopes = _slopes(m)
-    if any(slopes):
-        return slopes
-    return tuple(e.to_u_poly() for e in m.entries())  # type: ignore[return-value]
+def _step(slopes, consts) -> tuple[list, tuple, tuple]:
+    """One division step on the drivers, chosen by the progress guard.
 
-
-def _step(cur: Mat2) -> tuple[list, Mat2]:
-    """One division step on the matrix's drivers, chosen by the progress guard.
-
-    The drivers are the v-slopes while some entry depends on v, and the
-    entries themselves once the matrix is v-free.  Tries every symmetry that
-    exposes nonzero drivers at 22 and 21, preferring a minimal-degree pivot,
-    and accepts the first column operation that strictly shrinks (driver
-    count, minimal driver degree).  Only the drivers go through the
+    The drivers are the v-slopes while some slope is nonzero, and the v-free
+    parts after that; the other four slices follow.  Tries every symmetry
+    that exposes nonzero drivers at 22 and 21, preferring a minimal-degree
+    pivot, and accepts the first column operation that strictly shrinks
+    (driver count, minimal driver degree).  Only the drivers go through the
     symmetries while ranking.  For degenerate input such a step always
     exists: on v-free entries the first candidate divides by a least-degree
     pivot, so its quotient is nonzero and its remainder smaller.  The guard
     protects against silent loops.
 
-    Returns the moves and the matrix after them.  The new first column is
-    built from what the ranking computed: its drivers are ``d11 - d12*q`` and
-    the remainder ``r = d21 - d22*q``, which are the whole entries once the
-    matrix is v-free; with v, only the v-free slices ``c11 - c12*q`` and
-    ``c21 - c22*q`` are left to compute.
+    Returns the moves and the slopes and v-free parts after them.  The new
+    first column of the drivers is what the ranking computed, ``d11 - d12*q``
+    and the remainder ``r = d21 - d22*q``; the following slices take the
+    same moves and the same ``q``, which costs nothing once they are the
+    zero slopes.
     """
-    v_free = all(e.deg_v <= 0 for e in cur.entries())
+    by_slope = any(slopes)
+    drivers, others = (slopes, consts) if by_slope else (consts, slopes)
     # Every symmetry's proper prefix precedes it in _SYMMETRIES.
-    derived = {(): _drivers(cur)}
-    cur_measure = _measure(derived[()])
+    derived = {(): drivers}
+    cur_measure = _measure(drivers)
     candidates = []
     for idx, sym in enumerate(_SYMMETRIES):
         if sym:
             derived[sym] = _move(derived[sym[:-1]], sym[-1])
-        drivers = derived[sym]
-        if drivers[3] and drivers[2]:
-            candidates.append((drivers[3].degree, idx, sym, drivers))
+        d = derived[sym]
+        if d[3] and d[2]:
+            candidates.append((d[3].degree, idx, sym, d))
     candidates.sort(key=lambda c: (c[0], c[1]))
-    for _, _, sym, drivers in candidates:
-        q, r = left_div_rem(drivers[2], drivers[3])
+    for _, _, sym, d in candidates:
+        q, r = left_div_rem(d[2], d[3])
         if not q:
             continue
-        new_d11 = drivers[0]._add_mul(drivers[1], q, -1)
-        if _measure((new_d11, drivers[1], r, drivers[3])) < cur_measure:
+        driven = (d[0]._add_mul(d[1], q, -1), d[1], r, d[3])
+        if _measure(driven) < cur_measure:
             for op in sym:
-                cur = Mat2(*_move(cur.entries(), op))
-            if v_free:
-                m11, m21 = new_d11.to_uv(), r.to_uv()
-            else:
-                c11, c12, c21, c22 = (v_slices(e)[1] for e in cur.entries())
-                m11 = _from_v_slices(new_d11, c11._add_mul(c12, q, -1))
-                m21 = _from_v_slices(r, c21._add_mul(c22, q, -1))
-            return [(op,) for op in sym] + [(_CO, q.to_uv())], Mat2(m11, cur.m12, m21, cur.m22)
+                others = _move(others, op)
+            o11, o12, o21, o22 = others
+            others = (o11._add_mul(o12, q, -1), o12, o21._add_mul(o22, q, -1), o22)
+            moves = [(op,) for op in sym] + [(_CO, q.to_uv())]
+            return (moves, driven, others) if by_slope else (moves, others, driven)
     raise NoProgress("no symmetry and division step shrinks the measure of the drivers")
 
 
 def _reduce(m: Mat2) -> SplitCertificate:
-    """Run the reduction on ``m`` and verify the certificate it yields.
+    """Run the reduction on the v-slices of ``m`` and verify the certificate it yields.
 
     Raises:
         NoProgress: if the reduction stalls or the certificate does not
@@ -191,27 +182,21 @@ def _reduce(m: Mat2) -> SplitCertificate:
     step_cap = (1 + deg_bound) * 16
 
     moves: list = []
-    cur = m
+    slopes, consts = zip(*(v_slices(e) for e in m.entries()))
     v_steps = 0
     u_steps = 0
-    while True:
-        if cur.is_zero:
-            x = (QPolyUV.zero(), QPolyUV.zero())
-            y = (QPolyUV.one(), QPolyUV.zero())
-            break
-        if any(e.is_zero for e in cur.entries()):
-            x, y = _factor_with_zero(cur)
-            break
-        if all(e.deg_v <= 0 for e in cur.entries()):
-            u_steps += 1
-            if u_steps > step_cap:
-                raise NoProgress("v-free reduction exceeded its step cap")
-        else:
+    while all(s or c for s, c in zip(slopes, consts)):
+        if any(slopes):
             v_steps += 1
             if v_steps > step_cap:
                 raise NoProgress("v-dependence reduction exceeded its step cap")
-        step, cur = _step(cur)
+        else:
+            u_steps += 1
+            if u_steps > step_cap:
+                raise NoProgress("v-free reduction exceeded its step cap")
+        step, slopes, consts = _step(slopes, consts)
         moves.extend(step)
+    x, y = _factor_with_zero(Mat2(*map(_from_v_slices, slopes, consts)))
 
     for move in reversed(moves):
         x, y = _undo_on_factors(x, y, move)

@@ -484,12 +484,12 @@ def is_circle_or_line(points) -> bool:
     the answer is True.
 
     Raises:
-        TooFewPoints: with fewer than five pairwise distinct points.
+        TooFewPoints: unless there are at least five points, no two equal.
         InvalidInput: if a point is not a 3-vector.
     """
     pts = [_homogeneous(_vec(p, 3)) for p in points]
     if len(pts) < 5 or len(set(pts)) != len(pts):
-        raise TooFewPoints("need at least five pairwise distinct points")
+        raise TooFewPoints("need at least five points, no two equal")
     x0, y0, z0, d0 = pts[0]
     rel = [((x * d0 - x0 * d, y * d0 - y0 * d, z * d0 - z0 * d), d0 * d) for x, y, z, d in pts]
     a, sa = rel[1]

@@ -1080,7 +1080,7 @@ def reference_plane_circumcenter(points) -> bool:
     """``is_circle_or_line``: plane test and circumcenter test in Fractions."""
     pts = [_reference_vec(p, 3) for p in points]
     if len(pts) < 5 or len(set(pts)) != len(pts):
-        raise TooFewPoints("need at least five pairwise distinct points")
+        raise TooFewPoints("need at least five points, no two equal")
     p0 = pts[0]
     a = _reference_sub(pts[1], p0)
     for p in pts[2:]:

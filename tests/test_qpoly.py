@@ -264,6 +264,25 @@ def test_negative_exponents_rejected():
         RPolyUV({(0, -2): 1})
 
 
+@pytest.mark.parametrize("exponent", [0.5, 1.0, True, -1], ids=["half", "float", "bool", "negative"])
+def test_exponents_must_be_nonnegative_integers(exponent):
+    # Every route into a term map checks the key in one place; a float or
+    # bool exponent would reach to_json as "u": 0.5 or "u": true, which
+    # from_json rejects.
+    builds = [
+        lambda: QPolyUV({(exponent, 0): I}),
+        lambda: RPolyUV({(0, exponent): 1}),
+        lambda: QPolyUV.monomial(I, exponent, 0),
+        lambda: QPolyUV.monomial(I, 0, exponent),
+        lambda: QPolyU.monomial(I, exponent),
+        lambda: QPolyUV.from_json([{"u": exponent, "v": 0, "c": ["1", "0", "0", "0"]}]),
+        lambda: RPolyUV.from_json([{"u": 0, "v": exponent, "c": "1"}]),
+    ]
+    for build in builds:
+        with pytest.raises(InvalidInput, match=r"^polynomial exponents must be nonnegative integers$"):
+            build()
+
+
 @st.composite
 def kernel_operands(draw):
     """Two polynomials, and the key of their product whose terms cancel, if one is arranged."""

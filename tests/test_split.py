@@ -28,8 +28,9 @@ from quatsurf import (
     swap_rows,
 )
 from quatsurf.qmat import _CT, _SC, _SR, _move
+from quatsurf.qpoly import _from_v_slices, v_slices
 from quatsurf.quat import I, J, K, ONE
-from quatsurf.split import _drivers, _measure, _slopes, _step
+from quatsurf.split import _measure, _step
 
 from helpers import _apply_move, rand_nonzero_qpolyuv, rand_nonzero_quat, rand_qpolyuv, rand_vec2, reference_split
 
@@ -135,45 +136,50 @@ def _replayed(m: Mat2, moves) -> Mat2:
     return m
 
 
+def _slices(m: Mat2):
+    """The four v-slopes and the four v-free parts of ``m``'s entries."""
+    return tuple(zip(*(v_slices(e) for e in m.entries())))
+
+
+def _assembled(slopes, consts) -> Mat2:
+    return Mat2(*map(_from_v_slices, slopes, consts))
+
+
 def test_each_v_step_shrinks_the_measure_of_the_matrix():
-    # The search ranks symmetries by drivers derived without moving the
-    # matrix; the matrix it carries forward must equal the input with the
-    # returned moves replayed on it, and must have a smaller measure.
+    # _step ranks symmetries on the drivers alone and carries all eight
+    # slices forward: assembled, they must equal the input with the returned
+    # moves replayed on it, and the slices that drove the step (the slopes
+    # while any is nonzero, then the v-free parts) must have a smaller measure.
     rng = random.Random(39)
-    for _ in range(40):
-        if rng.random() < 0.5:
+    v_free_steps = 0
+    for i in range(80):
+        if i >= 40:
+            m = kron(rand_vec2(rng, 2, 0), rand_vec2(rng, 2, 0))
+        elif rng.random() < 0.5:
             m = kron(rand_vec2(rng, 1, 1), rand_vec2(rng, 2, 0))
         else:
             m = kron(rand_vec2(rng, 2, 0), rand_vec2(rng, 1, 1))
-        while all(m.entries()) and any(e.deg_v > 0 for e in m.entries()):
-            before = _measure(_slopes(m))
-            moves, nxt = _step(m)
-            assert nxt == _replayed(m, moves)
-            m = nxt
-            assert _measure(_slopes(m)) < before
-    # On a v-free matrix the entries drive the same search.
-    v_free_steps = 0
-    for _ in range(40):
-        m = kron(rand_vec2(rng, 2, 0), rand_vec2(rng, 2, 0))
+        slices = _slices(m)
         while all(m.entries()):
-            before = _measure(_drivers(m))
-            assert before == _measure(e.to_u_poly() for e in m.entries())
-            moves, nxt = _step(m)
-            assert nxt == _replayed(m, moves)
-            m = nxt
-            assert _measure(_drivers(m)) < before
-            v_free_steps += 1
+            drives = 0 if any(slices[0]) else 1
+            before = _measure(slices[drives])
+            moves, *slices = _step(*slices)
+            m = _replayed(m, moves)
+            assert _assembled(*slices) == m
+            assert _measure(slices[drives]) < before
+            v_free_steps += drives
     assert v_free_steps > 40
 
 
 def test_v_slopes_follow_their_entries_under_each_move():
-    # _step moves only the slopes while it ranks the symmetries, and moves the
-    # matrix by the same steps once it accepts one.
+    # _step moves only the drivers while it ranks the symmetries, and the
+    # other four slices by the same steps once it accepts one.
     rng = random.Random(40)
     for _ in range(40):
         m = Mat2(*(rand_qpolyuv(rng, 2, 1) for _ in range(4)))
         for op in (_SR, _SC, _CT):
-            assert _move(_slopes(m), op) == _slopes(Mat2(*_move(m.entries(), op)))
+            moved = _slices(Mat2(*_move(m.entries(), op)))
+            assert tuple(_move(part, op) for part in _slices(m)) == moved
 
 
 @st.composite

@@ -791,7 +791,7 @@ def test_circle_recognition_rejects_one_point_off_a_line():
 
 def test_circle_recognition_equal_mixed_points_are_duplicates():
     points = [(1, 0, 0), (0, 1, 0), (-1, 0, 0), (0, -1, 0), (Fraction(3, 5), Fraction(4, 5), 0)]
-    with pytest.raises(TooFewPoints):
+    with pytest.raises(TooFewPoints, match=r"^need at least five points, no two equal$"):
         is_circle_or_line([*points, (Fraction(2, 2), 0, 0)])
     with pytest.raises(TooFewPoints):
         is_circle_or_line([*points, (Fraction(6, 10), Fraction(8, 10), Fraction(0, 3))])

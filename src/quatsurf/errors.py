@@ -37,7 +37,10 @@ class NotDegenerate(QuatsurfError):
 
 
 class NoProgress(QuatsurfError):
-    """The splitting reduction stalled; no admissible step shrinks the measure."""
+    """The splitting reduction stalled; no admissible step shrinks the measure.
+
+    Also raised when a step cap is hit or the certificate fails verification.
+    """
 
 
 class NotTupleShaped(QuatsurfError):

@@ -32,8 +32,7 @@ wraps the stored tuple as it is, and a ``Fraction`` is built from it.
 
 Because the coefficient ring has no zero divisors and the variables are
 central, nonzero polynomials multiply to nonzero polynomials and degrees add
-per variable.  The zero polynomial has degree ``NEG_INF``, which compares
-strictly below every integer.
+per variable.  The zero polynomial has degree -1 in every variable.
 """
 
 from __future__ import annotations
@@ -45,9 +44,6 @@ from typing import Iterable, Mapping
 from .errors import DegreeTooHigh, InvalidInput
 from .quat import Quaternion, _canon, _coerce as _coerce_rational, _inverse, _json_object, _neg, _operand, _quat_json
 from .quat import _ratio_to_str, _sum, rational_from_str
-
-#: Degree of the zero polynomial; strictly less than every integer degree.
-NEG_INF = float("-inf")
 
 _Q_ZERO = Quaternion.zero()
 _ZERO_FR = Fraction(0)
@@ -298,12 +294,14 @@ class _SparseUV:
         return bool(self._ints)
 
     @property
-    def deg_u(self):
-        return max((du for du, _ in self._ints), default=NEG_INF)
+    def deg_u(self) -> int:
+        """Degree in u, or -1 for the zero polynomial."""
+        return max((du for du, _ in self._ints), default=-1)
 
     @property
-    def deg_v(self):
-        return max((dv for _, dv in self._ints), default=NEG_INF)
+    def deg_v(self) -> int:
+        """Degree in v, or -1 for the zero polynomial."""
+        return max((dv for _, dv in self._ints), default=-1)
 
     def coeff(self, du: int, dv: int):
         t = self._ints.get((du, dv))
@@ -484,7 +482,7 @@ class QPolyU(_SparseUV):
     __mul__ = _SparseUV.__mul__
     __rmul__ = _SparseUV.__rmul__
     conj = QPolyUV.conj
-    #: Degree in u, or ``NEG_INF`` for the zero polynomial.
+    #: Degree in u, or -1 for the zero polynomial.
     degree = _SparseUV.deg_u
     lead = property(QPolyUV.lead_coeff)
 

@@ -93,9 +93,7 @@ def _undo_on_factors(x: tuple[QPolyUV, QPolyUV], y: tuple[QPolyUV, QPolyUV], mov
 
 def _measure(drivers) -> tuple[int, int]:
     degrees = [s.degree for s in drivers if s]
-    if not degrees:
-        return (0, -1)
-    return (len(degrees), min(degrees))
+    return (len(degrees), min(degrees, default=-1))
 
 
 def _factor_with_zero(m: Mat2) -> tuple[tuple[QPolyUV, QPolyUV], tuple[QPolyUV, QPolyUV]]:
@@ -178,22 +176,16 @@ def _reduce(m: Mat2) -> SplitCertificate:
             full-rank matrix gets here only if the extreme terms of its
             pivot identity agree.
     """
-    deg_bound = max((e.deg_u for e in m.entries() if e), default=0)
-    step_cap = (1 + deg_bound) * 16
+    step_cap = (1 + max(e.deg_u for e in m.entries())) * 16
 
     moves: list = []
     slopes, consts = zip(*(v_slices(e) for e in m.entries()))
-    v_steps = 0
-    u_steps = 0
+    steps = {"v-dependence": 0, "v-free": 0}
     while all(s or c for s, c in zip(slopes, consts)):
-        if any(slopes):
-            v_steps += 1
-            if v_steps > step_cap:
-                raise NoProgress("v-dependence reduction exceeded its step cap")
-        else:
-            u_steps += 1
-            if u_steps > step_cap:
-                raise NoProgress("v-free reduction exceeded its step cap")
+        phase = "v-dependence" if any(slopes) else "v-free"
+        steps[phase] += 1
+        if steps[phase] > step_cap:
+            raise NoProgress(f"{phase} reduction exceeded its step cap")
         step, slopes, consts = _step(slopes, consts)
         moves.extend(step)
     x, y = _factor_with_zero(Mat2(*map(_from_v_slices, slopes, consts)))

@@ -1,14 +1,16 @@
 """Polynomials over the quaternions: ring laws, two-sided division, slices."""
 
+import ast
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import quatsurf
 from quatsurf import (
-    NEG_INF,
     DegreeTooHigh,
     InvalidInput,
     QPolyU,
@@ -62,13 +64,33 @@ mixed_fractions = st.one_of(fractions, wide_fractions)
 
 
 def test_degree_and_lead():
-    assert QPolyU.zero().degree == NEG_INF
-    assert NEG_INF < -10**9
+    zero_degree = QPolyU.zero().degree
+    assert zero_degree == -1 and type(zero_degree) is int
     assert QPolyU.one().degree == 0
     assert U.degree == 1
     p = QPolyU([ONE, I, J])
     assert p.degree == 2 and p.lead == J
     assert p.coeff(1) == I and p.coeff(5) == Quaternion.zero()
+    # An exact division leaves the zero remainder, whose degree -1 is below every divisor's.
+    b = QPolyU([I, J, ONE])
+    q, r = left_div_rem(b * p, b)
+    assert q == p and r.is_zero and r.degree == -1 < b.degree
+
+
+@pytest.mark.parametrize(
+    "path", sorted(Path(quatsurf.__file__).parent.glob("*.py")), ids=lambda path: path.name
+)
+def test_no_float_in_the_package(path):
+    # Words in docstrings are string constants, so only code is flagged.
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Constant) and isinstance(node.value, (float, complex)):
+            found.append(f"line {node.lineno}: literal {node.value!r}")
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id in ("float", "complex"):
+            found.append(f"line {node.lineno}: call to {node.func.id}")
+        elif isinstance(node, ast.Attribute) and node.attr in ("inf", "nan"):
+            found.append(f"line {node.lineno}: attribute {node.attr}")
+    assert not found, found
 
 
 def test_trailing_zeros_trimmed():
@@ -214,7 +236,9 @@ def test_division_contract_random():
 def test_bivariate_degrees():
     p = UU * UU * I + VV * J + 1
     assert p.deg_u == 2 and p.deg_v == 1
-    assert QPolyUV.zero().deg_u == NEG_INF and QPolyUV.zero().deg_v == NEG_INF
+    for zero in (QPolyUV.zero(), RPolyUV.zero()):
+        for degree in (zero.deg_u, zero.deg_v):
+            assert degree == -1 and type(degree) is int
     assert p.coeff(0, 1) == J and p.coeff(2, 0) == I and p.coeff(1, 1) == Quaternion.zero()
 
 

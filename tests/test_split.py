@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from quatsurf import (
     Mat2,
+    NoProgress,
     NotDegenerate,
     PreconditionDegree,
     QPolyUV,
@@ -278,6 +279,34 @@ def test_full_rank_degenerate_at_the_origin_goes_through_the_fallback(monkeypatc
         split(Mat2(p, p, p, p + U))
     assert len(calls) == 1
     assert info.value.witness == "identity"
+
+
+@pytest.mark.parametrize(
+    "m, phase, cap",
+    [
+        (kron(Vec2(ONE_P + V * I, U + 2), Vec2(ONE_P + U * U * J, U + 3)), "v-dependence", 64),
+        (kron(Vec2(ONE_P + U * K, const(2)), Vec2(U, ONE_P + U)), "v-free", 48),
+    ],
+    ids=["v-dependent", "v-free"],
+)
+def test_step_caps_fire_and_name_their_phase(monkeypatch, m, phase, cap):
+    # A stalled step keeps every entry nonzero, so only the cap of the phase
+    # the matrix starts in, (1 + max deg_u) * 16 steps, ends the loop.
+    calls = []
+
+    def stalled(slopes, consts):
+        calls.append(None)
+        return [], slopes, consts
+
+    monkeypatch.setattr(SPLIT_MODULE, "_step", stalled)
+    assert all(m.entries())
+    message = rf"^{phase} reduction exceeded its step cap$"
+    with pytest.raises(NoProgress, match=message):
+        SPLIT_MODULE._reduce(m)
+    assert len(calls) == cap
+    # The whole-matrix test finds the product degenerate, so split re-raises the stall.
+    with pytest.raises(NoProgress, match=message):
+        split(m)
 
 
 @pytest.mark.parametrize(

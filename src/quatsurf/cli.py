@@ -30,14 +30,15 @@ from .quat import rational_to_str
 from .split import split, split_normalize
 from .surfaces import (
     SurfaceSpec,
+    _cell_grid,
+    _grid_csv,
+    _grid_json,
+    _grid_obj,
     coordinate_curve,
     cyclide_implicit,
-    export_csv,
-    export_obj,
     grid_params,
     is_circle_or_line,
     quartic_to_json,
-    sample_grid,
 )
 
 
@@ -128,13 +129,6 @@ def _require_family(spec: SurfaceSpec, wanted: str) -> None:
         )
 
 
-def _grid_json(grid) -> list:
-    return [
-        [None if cell is None else [rational_to_str(c) for c in cell] for cell in row]
-        for row in grid
-    ]
-
-
 def _cmd_gen_surface(args) -> int:
     """Export a surface: a point grid for e/c, the implicit quartic for d.
 
@@ -147,12 +141,11 @@ def _cmd_gen_surface(args) -> int:
         if spec.family == "d":
             body = {"family": "d", "quartic": quartic_to_json(cyclide_implicit(spec.quadric))}
         else:
-            body = {"family": spec.family, "grid": _grid_json(sample_grid(spec, args.grid))}
+            body = {"family": spec.family, "grid": _grid_json(_cell_grid(spec, args.grid))}
         _emit(_dump(body), args.out)
         return 0
-    grid = sample_grid(spec, args.grid)
-    render = export_obj if args.format == "obj" else export_csv
-    _emit(render(grid, args.digits), args.out)
+    render = _grid_obj if args.format == "obj" else _grid_csv
+    _emit(render(_cell_grid(spec, args.grid), args.digits), args.out)
     return 0
 
 

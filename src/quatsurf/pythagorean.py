@@ -21,11 +21,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 
 from .errors import BasePoint, NotTupleShaped
 from .qmat import Mat2
 from .qpoly import QPolyUV, RPolyUV, _norm, quat_poly
-from .quat import _json_array
+from .quat import _ZERO, _json_array
 
 
 @dataclass(frozen=True)
@@ -113,11 +114,23 @@ def tuple_from_pair(a: QPolyUV, b: QPolyUV) -> PyTuple:
         norm(a*b) == norm(a)*norm(b)
 
     makes the result Pythagorean by construction.  The associated matrix is
-    ``kron((a, conj(b)), (conj(a), b))``.
+    ``kron((a, conj(b)), (conj(a), b))``.  Per monomial, x5 and x6 are put
+    over twice the lcm of the two norms' denominators and each reduced once.
     """
     x1, x2, x3, x4 = (a * b).components()
-    na, nb = (RPolyUV._raw(_norm([p._ints])) for p in (a, b))
-    return PyTuple(x1, x2, x3, x4, (nb - na) / 2, (nb + na) / 2)
+    na, nb = (_norm([p._ints]) for p in (a, b))
+    x5: dict = {}
+    x6: dict = {}
+    for key in {**nb, **na}:
+        n1, _, _, _, d1 = na.get(key, _ZERO)
+        n2, _, _, _, d2 = nb.get(key, _ZERO)
+        m = d1 if d1 == d2 else lcm(d1, d2)
+        s1, s2, m = n1 * (m // d1), n2 * (m // d2), 2 * m
+        for out, n in ((x5, s2 - s1), (x6, s2 + s1)):
+            if n:
+                g = gcd(n, m)
+                out[key] = (n // g, 0, 0, 0, m // g)
+    return PyTuple(x1, x2, x3, x4, RPolyUV._raw(x5), RPolyUV._raw(x6))
 
 
 def tuple_to_sphere_map(

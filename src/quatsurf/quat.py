@@ -169,9 +169,9 @@ def _inverse(t: tuple) -> tuple:
 
 
 def _quat_json(t: tuple) -> list[str]:
-    """The JSON of the quaternion ``t``: each component over ``d`` in lowest terms."""
-    d = t[4]
-    return [_ratio_to_str(n // (g := gcd(n, d)), d // g) for n in t[:4]]
+    """The JSON of the quaternion ``t``, or of any tuple ``(n_1, ..., n_k, d)`` with ``d > 0``: each ``n_i/d`` in lowest terms."""
+    d = t[-1]
+    return [_ratio_to_str(n // (g := gcd(n, d)), d // g) for n in t[:-1]]
 
 
 # endregion

@@ -33,7 +33,16 @@ from .errors import (
     TooFewPoints,
     UnsupportedFamily,
 )
-from .quat import _coerce, _hamilton, _json_array, _json_object, _product, _rationals_from_json, rational_to_str
+from .quat import (
+    _coerce,
+    _hamilton,
+    _json_array,
+    _json_object,
+    _quat_json,
+    _ratio_of,
+    _rationals_from_json,
+    rational_to_str,
+)
 
 Point3 = tuple[Fraction, Fraction, Fraction]
 Point4 = tuple[Fraction, Fraction, Fraction, Fraction]
@@ -54,6 +63,12 @@ def _homogeneous(point) -> tuple[int, ...]:
     """Rational coordinates as ``(n_1, ..., n_dim, d)``: numerators over their least common denominator."""
     d = lcm(*(c.denominator for c in point))
     return (*(c.numerator * (d // c.denominator) for c in point), d)
+
+
+def _point(ints) -> tuple[Fraction, ...]:
+    """The rational point ``(n_1/d, ..., n_dim/d)`` of an integer tuple ``(n_1, ..., n_dim, d)`` with ``d > 0``."""
+    d = ints[-1]
+    return tuple([Fraction(n, d) for n in ints[:-1]])
 
 
 # region circles
@@ -108,8 +123,7 @@ class _Circle:
         return (*(x * s + a * c + b * sn for x, a, b in rows), den * s)
 
     def point(self, t) -> tuple[Fraction, ...]:
-        *nums, d = self._ints(t)
-        return tuple(Fraction(n, d) for n in nums)
+        return _point(self._ints(t))
 
     def point_at_infinity(self) -> tuple[Fraction, ...]:
         return tuple(c - e for c, e in zip(self.center, self.e1))
@@ -338,7 +352,7 @@ class SurfaceSpec:
 def eval_e(alpha: Circle3, beta: Circle3, u, v) -> Point3:
     """Translational surface point ``alpha(u) + beta(v)``; InvalidInput unless both circles are in 3-space."""
     SurfaceSpec.family_e(alpha, beta)
-    return _combine("e", alpha._ints(u), beta._ints(v))
+    return _point(_cell("e", alpha._ints(u), beta._ints(v)))
 
 
 def eval_c(alpha: CircleS3, beta: CircleS3, u, v) -> Point4:
@@ -348,8 +362,7 @@ def eval_c(alpha: CircleS3, beta: CircleS3, u, v) -> Point4:
     InvalidInput unless both circles lie on the unit sphere.
     """
     SurfaceSpec.family_c(alpha, beta)
-    *nums, d = _product(alpha._ints(u), beta._ints(v))
-    return tuple(Fraction(n, d) for n in nums)
+    return _point(_hamilton(alpha._ints(u), beta._ints(v)))
 
 
 def stereo(x) -> Point3:
@@ -381,28 +394,24 @@ def grid_params(n: int) -> list[Fraction]:
     return [Fraction(2 * k - (n - 1), 2) for k in range(n)]
 
 
-def _combine(family: str, a, b) -> Point3 | None:
-    """The surface point made of circle points ``a`` (on alpha) and ``b`` (on beta).
+def _cell(family: str, a, b) -> tuple[int, int, int, int] | None:
+    """The surface point made of circle points ``a`` (on alpha) and ``b`` (on beta), as a cell.
 
     Both come as integer tuples ``(n_1, ..., n_dim, d)``, as ``_Circle._ints``
-    gives them.  Family e adds them; family c multiplies them as quaternions,
-    (W, X, Y, Z)/D with D = da*db, and projects to (X, Y, Z)/(D - W), which
-    is None at the pole W == D.
+    gives them.  A cell is the unreduced tuple ``(n_1, n_2, n_3, d)``,
+    ``d > 0``, of a point in 3-space, or None at the projection pole.
+    Family e adds the circle points; family c multiplies them as
+    quaternions, (W, X, Y, Z)/D with D = da*db, and projects to
+    (X, Y, Z)/(D - W).  The product has norm 1, so W <= D, with equality
+    only at the pole.
     """
     if family == "e":
         a0, a1, a2, da = a
         b0, b1, b2, db = b
-        d = da * db
-        return (
-            Fraction(a0 * db + b0 * da, d),
-            Fraction(a1 * db + b1 * da, d),
-            Fraction(a2 * db + b2 * da, d),
-        )
+        return (a0 * db + b0 * da, a1 * db + b1 * da, a2 * db + b2 * da, da * db)
     w, x, y, z, d = _hamilton(a, b)
     gap = d - w
-    if not gap:
-        return None
-    return (Fraction(x, gap), Fraction(y, gap), Fraction(z, gap))
+    return (x, y, z, gap) if gap else None
 
 
 def coordinate_curve(spec: SurfaceSpec, which: str, fixed, samples, *, mask_poles: bool = False):
@@ -428,9 +437,11 @@ def coordinate_curve(spec: SurfaceSpec, which: str, fixed, samples, *, mask_pole
     out = []
     for t in samples:
         free = moving._ints(t)
-        cell = _combine(spec.family, held, free) if which == "u" else _combine(spec.family, free, held)
+        cell = _cell(spec.family, held, free) if which == "u" else _cell(spec.family, free, held)
         if cell is not None:
-            out.append(cell)
+            # Inline rather than through _point: this loop is the hot path of circle checks.
+            x, y, z, d = cell
+            out.append((Fraction(x, d), Fraction(y, d), Fraction(z, d)))
         elif not mask_poles:
             raise PolePoint("stereographic projection is undefined at the pole")
     return out
@@ -444,6 +455,11 @@ def sample_grid(spec: SurfaceSpec, n: int):
     Family d has no parametrization and is rejected.  Each circle is
     evaluated once per parameter, so the grid costs 2n circle points.
     """
+    return [[None if cell is None else _point(cell) for cell in row] for row in _cell_grid(spec, n)]
+
+
+def _cell_grid(spec: SurfaceSpec, n: int) -> list:
+    """:func:`sample_grid` as cells (see :func:`_cell`), which the exports render without building a ``Fraction``."""
     if spec.family == "d":
         raise UnsupportedFamily(
             "implicit surfaces cannot be sampled on a parameter grid; "
@@ -454,7 +470,7 @@ def sample_grid(spec: SurfaceSpec, n: int):
     ts = grid_params(n)
     alphas = [spec.alpha._ints(t) for t in ts]
     betas = [spec.beta._ints(t) for t in ts]
-    return [[_combine(spec.family, a, b) for b in betas] for a in alphas]
+    return [[_cell(spec.family, a, b) for b in betas] for a in alphas]
 
 
 # endregion
@@ -518,6 +534,38 @@ def is_circle_or_line(points) -> bool:
 # region exports
 
 
+def _decimal(digits: int):
+    """The renderer of ``n/d``, ``d > 0``, as a fixed-point decimal of ``digits`` digits.
+
+    Rounds half to even, exact in the integers.  ``divmod(n * 10**digits, d)``
+    gives the same digits whether or not ``n/d`` is in lowest terms, so a
+    cell renders unreduced.  ``digits`` is checked once per renderer.
+
+    Raises:
+        InvalidInput: if ``digits`` is negative or more than the interpreter
+            prints, and from the renderer, for a result that it cannot print.
+    """
+    if digits < 0:
+        raise InvalidInput("the number of decimal digits must be nonnegative")
+    limit = sys.get_int_max_str_digits()
+    if limit and digits > limit:
+        raise InvalidInput("a decimal has too many digits to print")
+    scale = 10**digits
+
+    def render(n: int, d: int) -> str:
+        scaled, rest = divmod(n * scale, d)
+        if 2 * rest > d or (2 * rest == d and scaled % 2):
+            scaled += 1
+        sign = "-" if scaled < 0 else ""
+        ip, fp = divmod(abs(scaled), scale)
+        try:
+            return f"{sign}{ip}.{str(fp).zfill(digits)}" if digits else f"{sign}{ip}"
+        except ValueError:
+            raise InvalidInput("a decimal has too many digits to print") from None
+
+    return render
+
+
 def render_decimal(value: Fraction, digits: int = 12) -> str:
     """Fixed-point decimal rendering, round half to even, exact in the integers.
 
@@ -526,53 +574,71 @@ def render_decimal(value: Fraction, digits: int = 12) -> str:
             digits than the interpreter prints.
         TypeError: if ``value`` is not an int or Fraction.
     """
-    if digits < 0:
-        raise InvalidInput("the number of decimal digits must be nonnegative")
-    limit = sys.get_int_max_str_digits()
-    if limit and digits > limit:
-        raise InvalidInput("a decimal has too many digits to print")
-    value = _coerce(value)
-    scale = 10**digits
-    scaled, rest = divmod(value.numerator * scale, value.denominator)
-    if 2 * rest > value.denominator or (2 * rest == value.denominator and scaled % 2):
-        scaled += 1
-    sign = "-" if scaled < 0 else ""
-    ip, fp = divmod(abs(scaled), scale)
-    try:
-        return f"{sign}{ip}.{str(fp).zfill(digits)}" if digits else f"{sign}{ip}"
-    except ValueError:
-        raise InvalidInput("a decimal has too many digits to print") from None
+    return _decimal(digits)(*_ratio_of(value))
+
+
+def _cells(grid):
+    """The rows of a grid of rational 3-vectors as cells, each row converted when it is read."""
+    return ([None if p is None else _homogeneous(_vec(p, 3)) for p in row] for row in grid)
+
+
+def _grid_csv(cells, digits: int) -> str:
+    """One decimal point per row as ``x,y,z``; masked cells are omitted."""
+    render = _decimal(digits)
+    lines = []
+    for row in cells:
+        for cell in row:
+            if cell is not None:
+                *nums, d = cell
+                lines.append(",".join([render(n, d) for n in nums]))
+    return "\n".join(lines) + "\n"
+
+
+def _grid_obj(cells, digits: int) -> str:
+    """Wavefront OBJ mesh: grid vertices plus quad faces between valid neighbors."""
+    render = _decimal(digits)
+    lines = []
+    index: dict[tuple[int, int], int] = {}
+    for i, row in enumerate(cells):
+        for j, cell in enumerate(row):
+            if cell is not None:
+                index[i, j] = len(index) + 1
+                *nums, d = cell
+                lines.append("v " + " ".join([render(n, d) for n in nums]))
+    # Row-major, as the vertices: a face at each vertex with its three lower-right neighbors.
+    get = index.get
+    for (i, j), k in index.items():
+        corners = (get((i + 1, j)), get((i + 1, j + 1)), get((i, j + 1)))
+        if None not in corners:
+            lines.append(f"f {k} {corners[0]} {corners[1]} {corners[2]}")
+    return "\n".join(lines) + "\n"
+
+
+def _grid_json(cells) -> list:
+    """The cells as JSON: each coordinate a ``"p/q"`` string in lowest terms, None at a pole."""
+    return [[None if cell is None else _quat_json(cell) for cell in row] for row in cells]
 
 
 def export_csv(grid, digits: int = 12) -> str:
-    """One decimal point per row as ``x,y,z``; masked cells are omitted."""
-    lines = []
-    for row in grid:
-        for cell in row:
-            if cell is None:
-                continue
-            lines.append(",".join(render_decimal(c, digits) for c in cell))
-    return "\n".join(lines) + "\n"
+    """One decimal point per row as ``x,y,z``; masked cells are omitted.
+
+    Raises:
+        InvalidInput: if ``digits`` is out of range, checked before any
+            cell, or if a cell is not a 3-vector.
+        TypeError: for a coordinate that is not an int or Fraction.
+    """
+    return _grid_csv(_cells(grid), digits)
 
 
 def export_obj(grid, digits: int = 12) -> str:
-    """Wavefront OBJ mesh: grid vertices plus quad faces between valid neighbors."""
-    lines = []
-    index: dict[tuple[int, int], int] = {}
-    count = 0
-    for i, row in enumerate(grid):
-        for j, cell in enumerate(row):
-            if cell is None:
-                continue
-            count += 1
-            index[(i, j)] = count
-            lines.append("v " + " ".join(render_decimal(c, digits) for c in cell))
-    for i in range(len(grid) - 1):
-        for j in range(len(grid[i]) - 1):
-            corners = [(i, j), (i + 1, j), (i + 1, j + 1), (i, j + 1)]
-            if all(c in index for c in corners):
-                lines.append("f " + " ".join(str(index[c]) for c in corners))
-    return "\n".join(lines) + "\n"
+    """Wavefront OBJ mesh: grid vertices plus quad faces between valid neighbors.
+
+    Raises:
+        InvalidInput: if ``digits`` is out of range, checked before any
+            cell, or if a cell is not a 3-vector.
+        TypeError: for a coordinate that is not an int or Fraction.
+    """
+    return _grid_obj(_cells(grid), digits)
 
 
 # endregion

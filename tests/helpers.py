@@ -1003,6 +1003,47 @@ def reference_render_decimal(value: Fraction, digits: int = 12) -> str:
         raise InvalidInput("a decimal has too many digits to print") from None
 
 
+# The exports quatsurf.surfaces ran before it rendered integer cells, with
+# each coordinate taken through ``reference_render_decimal`` or
+# ``rational_to_str``.  Kept verbatim as oracles for the text gen-surface writes.
+
+
+def reference_export_csv(grid, digits: int = 12) -> str:
+    """``export_csv``: one decimal point per row, masked cells omitted."""
+    lines = []
+    for row in grid:
+        for cell in row:
+            if cell is None:
+                continue
+            lines.append(",".join(reference_render_decimal(c, digits) for c in cell))
+    return "\n".join(lines) + "\n"
+
+
+def reference_export_obj(grid, digits: int = 12) -> str:
+    """``export_obj``: vertices, then a quad face wherever all four corners are valid."""
+    lines = []
+    index: dict[tuple[int, int], int] = {}
+    count = 0
+    for i, row in enumerate(grid):
+        for j, cell in enumerate(row):
+            if cell is None:
+                continue
+            count += 1
+            index[(i, j)] = count
+            lines.append("v " + " ".join(reference_render_decimal(c, digits) for c in cell))
+    for i in range(len(grid) - 1):
+        for j in range(len(grid[i]) - 1):
+            corners = [(i, j), (i + 1, j), (i + 1, j + 1), (i, j + 1)]
+            if all(c in index for c in corners):
+                lines.append("f " + " ".join(str(index[c]) for c in corners))
+    return "\n".join(lines) + "\n"
+
+
+def reference_grid_json(grid) -> list:
+    """The grid of ``gen-surface --format json``: "p/q" strings, None at a pole."""
+    return [[None if cell is None else [rational_to_str(c) for c in cell] for cell in row] for row in grid]
+
+
 # endregion
 
 

@@ -452,7 +452,8 @@ def _slots(node):
         yield from _slots(child)
 
 
-@settings(max_examples=300)
+# At least 300 examples, more under a deeper hypothesis profile.
+@settings(max_examples=max(300, settings.default.max_examples))
 @given(st.data())
 def test_any_json_document_ends_cleanly(data):
     argv, documents = data.draw(st.sampled_from(_COMMANDS))

@@ -5,7 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from quatsurf import (
@@ -265,6 +265,38 @@ def test_tuple_from_pair_mixed():
     t = tuple_from_pair(a, b)
     expected_x6 = (RPolyUV.const(2) + RU * RU + RV * RV) / 2
     assert t.x6 == expected_x6
+    assert is_pythagorean(t)
+
+
+def real_norm(p: QPolyUV) -> RPolyUV:
+    """``p*conj(p)`` by public arithmetic, as the real polynomial it is."""
+    return (p * p.conj()).components()[0]
+
+
+Q0 = QPolyUV.zero()
+UI = QPolyUV.var_u() + I
+BIG_TERM = QPolyUV.monomial(Quaternion(Fraction(3, 7), 0, Fraction(-2, 10**30 + 1), 1), 2, 1)
+SMALL_TERM = QPolyUV.monomial(Quaternion(0, Fraction(5, 6)), 1, 0)
+
+
+@given(st.one_of(st.just(Q0), pair_polys), st.one_of(st.just(Q0), pair_polys), st.booleans())
+@example(Q0, UI, False)
+@example(UI, Q0, False)
+@example(Q0, Q0, False)
+@example(UI, UI, False)
+@example(BIG_TERM, BIG_TERM, False)
+@example(BIG_TERM, SMALL_TERM, False)
+@example(SMALL_TERM, BIG_TERM, False)
+def test_tuple_from_pair_halves_the_norm_difference_and_sum(a, b, same):
+    if same:
+        b = a
+    t = tuple_from_pair(a, b)
+    na, nb = real_norm(a), real_norm(b)
+    assert t.x5 == (nb - na) / 2
+    assert t.x6 == (nb + na) / 2
+    assert t.x5.is_zero == (na == nb)
+    assert_canonical(t.x5)
+    assert_canonical(t.x6)
     assert is_pythagorean(t)
 
 

@@ -1,7 +1,12 @@
 """Circles, stereographic projection, cyclides, grids, exports."""
 
+import contextlib
+import io
+import json
+import os
 import random
 import sys
+import tempfile
 from fractions import Fraction
 
 import pytest
@@ -35,6 +40,7 @@ from quatsurf import (
     stereo,
     stereo_inv,
 )
+from quatsurf.cli import main
 
 from helpers import (
     _reference_eval_c,
@@ -47,6 +53,9 @@ from helpers import (
     reference_cyclide_implicit,
     reference_plane_circumcenter,
     reference_coordinate_curve,
+    reference_export_csv,
+    reference_export_obj,
+    reference_grid_json,
     reference_render_decimal,
     reference_sample_grid,
     rotate3,
@@ -200,9 +209,10 @@ def test_circles_reject_float_coordinates():
         lambda: TORUS_QUADRIC.value((0.5, 0, 0, 0)),
         lambda: render_decimal(0.1, 3),
         lambda: export_csv([[(Fraction(1), 0.5, Fraction(0))]]),
+        lambda: export_obj([[(Fraction(1), 0.5, Fraction(0))]]),
     ],
     ids=["sparse-eval", "u-eval", "rpoly-div", "circle-point", "coordinate-curve", "stereo",
-         "stereo-inv", "quartic-value", "quadric-value", "render-decimal", "export-csv"],
+         "stereo-inv", "quartic-value", "quadric-value", "render-decimal", "export-csv", "export-obj"],
 )
 def test_float_arguments_are_rejected(call):
     # 0.1 is not exact; it would silently become 3602879701896397/36028797018963968.
@@ -548,6 +558,52 @@ def test_sample_grid_matches_fraction_reference(spec, n):
     assert sample_grid(spec, n) == reference_sample_grid(spec, n)
 
 
+def gen_surface(spec: SurfaceSpec, *argv: str) -> str:
+    """What ``gen-surface`` writes to standard output for ``spec``."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "spec.json")
+        with open(path, "w", encoding="utf-8") as handle:
+            json.dump(spec.to_json(), handle)
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(["gen-surface", "--family", spec.family, "--spec", path, *argv]) == 0
+    return out.getvalue()
+
+
+@st.composite
+def export_cases(draw):
+    """A sampled spec and a digit count, or a family e spec whose every z coordinate is a tie at that count."""
+    digits = draw(st.integers(0, 15))
+    if draw(st.booleans()):
+        return draw(sampled_specs()), digits
+    rng = draw(seeds)
+    # Both frames lie in the xy-plane, so z is alpha's center z everywhere:
+    # (2k + 1) / (2 * 10**digits), halfway between two printable decimals.
+    z = Fraction(2 * draw(st.integers(-10**6, 10**6)) + 1, 2 * 10**digits)
+    s, a, b = wide_fraction(rng) or 1, wide_fraction(rng) or 1, wide_fraction(rng)
+    alpha = Circle3((wide_fraction(rng), wide_fraction(rng), z), (s, 0, 0), (0, s, 0))
+    beta = Circle3((wide_fraction(rng), wide_fraction(rng), 0), (a, b, 0), (-b, a, 0))
+    return SurfaceSpec.family_e(alpha, beta), digits
+
+
+@given(export_cases(), st.integers(2, 6))
+@example((SurfaceSpec.family_c(GREAT_CIRCLE, GREAT_CIRCLE), 3), 3)
+@example((SurfaceSpec.family_e(Circle3((0, 0, Fraction(1, 2)), (1, 0, 0), (0, 1, 0)), XY_CIRCLE), 0), 4)
+def test_gen_surface_text_matches_fraction_reference(case, n):
+    spec, digits = case
+    grid = reference_sample_grid(spec, n)
+    expected = {
+        "obj": reference_export_obj(grid, digits),
+        "csv": reference_export_csv(grid, digits),
+        "json": json.dumps({"family": spec.family, "grid": reference_grid_json(grid)}, sort_keys=True, indent=2)
+        + "\n",
+    }
+    for fmt, text in expected.items():
+        assert gen_surface(spec, "--grid", str(n), "--format", fmt, "--digits", str(digits)) == text
+    assert export_obj(grid, digits) == expected["obj"]
+    assert export_csv(grid, digits) == expected["csv"]
+
+
 @pytest.mark.parametrize("family", ["e", "c"])
 def test_each_circle_is_evaluated_once_per_parameter(monkeypatch, family):
     rng = random.Random(56)
@@ -861,6 +917,23 @@ def test_export_obj():
     lines = out.strip().split("\n")
     assert lines[:4] == ["v 0.0 0.0 0.0", "v 1.0 0.0 0.0", "v 0.0 1.0 0.0", "v 1.0 1.0 0.0"]
     assert lines[4] == "f 1 3 4 2"
+
+
+@pytest.mark.parametrize("export", [export_csv, export_obj])
+@pytest.mark.parametrize(
+    "grid, digits, match",
+    [
+        ([[(Fraction(1), Fraction(2))]], 2, "3-vector"),
+        ([[(1, 2, 3, 4), None]], 1, "3-vector"),
+        ([[None]], -1, "nonnegative"),
+        ([[None, None], [None, None]], -5, "nonnegative"),
+    ],
+    ids=["2-vector", "4-vector", "masked-1x1", "masked-2x2"],
+)
+def test_exports_reject_bad_cells_and_digits(export, grid, digits, match):
+    # A fully masked grid renders no cell, and still has its digits checked.
+    with pytest.raises(InvalidInput, match=match):
+        export(grid, digits)
 
 
 def test_export_obj_skips_faces_at_masked_cells():

@@ -49,7 +49,8 @@ Point4 = tuple[Fraction, Fraction, Fraction, Fraction]
 
 
 def _vec(values, size: int) -> tuple[Fraction, ...]:
-    out = tuple(_coerce(c) for c in values)
+    """``values`` as ``size`` Fractions, each coerced once; a TypeError for a bad coordinate precedes InvalidInput for a bad length."""
+    out = tuple(map(_coerce, values))
     if len(out) != size:
         raise InvalidInput(f"expected a {size}-vector")
     return out
@@ -63,6 +64,16 @@ def _homogeneous(point) -> tuple[int, ...]:
     """Rational coordinates as ``(n_1, ..., n_dim, d)``: numerators over their least common denominator."""
     d = lcm(*(c.denominator for c in point))
     return (*(c.numerator * (d // c.denominator) for c in point), d)
+
+
+def _cell3(point) -> tuple[int, int, int, int]:
+    """A rational 3-vector, validated by :func:`_vec`, as ``(n1, n2, n3, d)`` over its least common denominator; equal points give equal cells."""
+    a, b, c = _vec(point, 3)
+    da, db, dc = a.denominator, b.denominator, c.denominator
+    if da == db == dc:
+        return a.numerator, b.numerator, c.numerator, da
+    d = lcm(da, db, dc)
+    return a.numerator * (d // da), b.numerator * (d // db), c.numerator * (d // dc), d
 
 
 def _point(ints) -> tuple[Fraction, ...]:
@@ -120,7 +131,7 @@ class _Circle:
         s = p * p + q * q
         c, sn = q * q - p * p, 2 * p * q
         rows, den = self._frame
-        return (*(x * s + a * c + b * sn for x, a, b in rows), den * s)
+        return (*[x * s + a * c + b * sn for x, a, b in rows], den * s)
 
     def point(self, t) -> tuple[Fraction, ...]:
         return _point(self._ints(t))
@@ -490,11 +501,12 @@ def is_circle_or_line(points) -> bool:
     """Whether all points lie on one circle or one straight line.
 
     Exact and linear in the number of points, on integers: each point is
-    validated once and put over its least common denominator, and no
-    ``Fraction`` is built after that.  The first two points and the first
-    point not collinear with them span a plane with normal ``n`` and have a
-    circumcenter ``c``.  With ``p - p0 = r/s`` and ``c - p0 = W/M``, a point
-    passes when ``r . n == 0`` and ``M |r|**2 == 2 s (r . W)``, which is
+    read once, in one step that validates it and puts it over its least
+    common denominator (:func:`_cell3`), and no ``Fraction`` is built after
+    that.  The first two points and the first point not collinear with them
+    span a plane with normal ``n`` and have a circumcenter ``c``.  With
+    ``p - p0 = r/s`` and ``c - p0 = W/M``, a point passes when
+    ``r . n == 0`` and ``M |r|**2 == 2 s (r . W)``, which is
     ``|p - c|**2 == |p0 - c|**2``; the answer is True only when every point
     passes.  When no such third point exists the points are collinear and
     the answer is True.
@@ -502,8 +514,11 @@ def is_circle_or_line(points) -> bool:
     Raises:
         TooFewPoints: unless there are at least five points, no two equal.
         InvalidInput: if a point is not a 3-vector.
+        TypeError: for a coordinate that is not an int or Fraction, raised
+            before a wrong length is reported, or for a point that is not
+            iterable.
     """
-    pts = [_homogeneous(_vec(p, 3)) for p in points]
+    pts = list(map(_cell3, points))
     if len(pts) < 5 or len(set(pts)) != len(pts):
         raise TooFewPoints("need at least five points, no two equal")
     x0, y0, z0, d0 = pts[0]
@@ -578,8 +593,8 @@ def render_decimal(value: Fraction, digits: int = 12) -> str:
 
 
 def _cells(grid):
-    """The rows of a grid of rational 3-vectors as cells, each row converted when it is read."""
-    return ([None if p is None else _homogeneous(_vec(p, 3)) for p in row] for row in grid)
+    """The rows of a grid of rational 3-vectors, or None, as cells (see :func:`_cell3`), each row converted when it is read."""
+    return ([None if p is None else _cell3(p) for p in row] for row in grid)
 
 
 def _grid_csv(cells, digits: int) -> str:

@@ -40,6 +40,7 @@ from quatsurf import (
     stereo,
     stereo_inv,
 )
+from quatsurf import surfaces
 from quatsurf.cli import main
 
 from helpers import (
@@ -366,6 +367,39 @@ def test_torus_membership():
             lifted = stereo_inv(p)
             assert TORUS_QUADRIC.value(lifted) == 0
             assert quartic_value(TORUS_QUARTIC, p) == 0
+
+
+# The torus (x^2 + y^2 + z^2 + 16)^2 = 100 (x^2 + y^2), tube radius 3 about a
+# core circle of radius 5, in the coordinates of TORUS_QUADRIC.  Unlike the
+# R=2, r=1 torus, its Villarceau circles are rational.
+RATIONAL_TORUS_QUADRIC = Quadric4(
+    (
+        (225, 0, 0, 0, -255),
+        (0, -100, 0, 0, 0),
+        (0, 0, -100, 0, 0),
+        (0, 0, 0, 0, 0),
+        (-255, 0, 0, 0, 289),
+    )
+)
+
+
+@pytest.mark.parametrize(
+    "circle",
+    [
+        Circle3((0, 3, 0), (4, 0, 3), (0, 5, 0)),
+        Circle3((0, -3, 0), (4, 0, 3), (0, 5, 0)),
+        Circle3((5, 0, 0), (3, 0, 0), (0, 0, 3)),
+    ],
+    ids=["villarceau+", "villarceau-", "meridian"],
+)
+def test_rational_torus_circles_lie_on_its_cyclide(circle):
+    quartic = cyclide_implicit(RATIONAL_TORUS_QUADRIC)
+    points = [circle.point(t) for t in grid_params(41)]
+    assert all(quartic_value(quartic, p) == 0 for p in points)
+    assert is_circle_or_line(points)
+    # Control: the same circle moved off the core plane leaves the surface.
+    lifted = [(x, y, z + 1) for x, y, z in points]
+    assert any(quartic_value(quartic, p) for p in lifted)
 
 
 def test_generic_quadric_gives_nonzero_quartic():
@@ -807,15 +841,24 @@ def weave_curves(draw):
             points[i] = tuple(a + rand_fraction(rng) for a in points[i])
         else:
             points = _chord_move(points, i, j, rand_fraction(rng))
-    spoil = draw(st.sampled_from([None] * 5 + ["duplicate", "4-vector", "float"]))
+    spoils = ["duplicate", "2-vector", "4-vector", "4-vector-float", "float", "int-bool", "list"]
+    spoil = draw(st.sampled_from([None] * 7 + spoils))
     if spoil and points:
         i = rng.randrange(len(points))
         if spoil == "duplicate":
             points.append(points[i])
+        elif spoil == "2-vector":
+            points[i] = points[i][:2]
         elif spoil == "4-vector":
             points[i] = (*points[i], 0)
-        else:
+        elif spoil == "4-vector-float":
+            points[i] = (*points[i], 0.5)
+        elif spoil == "float":
             points[i] = (0.5, *points[i][1:])
+        elif spoil == "int-bool":
+            points[i] = (True, False, rng.randint(-2, 2))
+        else:
+            points[i] = list(points[i])
     return points
 
 
@@ -851,6 +894,46 @@ def test_circle_recognition_equal_mixed_points_are_duplicates():
         is_circle_or_line([*points, (Fraction(2, 2), 0, 0)])
     with pytest.raises(TooFewPoints):
         is_circle_or_line([*points, (Fraction(6, 10), Fraction(8, 10), Fraction(0, 3))])
+
+
+UNIT_CIRCLE_POINTS = [(1, 0, 0), (0, 1, 0), (-1, 0, 0), (0, -1, 0)]
+
+
+@pytest.mark.parametrize(
+    "make_point, expected",
+    [
+        (lambda: (c for c in (Fraction(3, 5), Fraction(4, 5), 0)), True),
+        (lambda: (c for c in (1, 1, 0)), False),
+        (lambda: (c for c in (1, 1)), InvalidInput),
+        (lambda: 5, TypeError),
+        (lambda: None, TypeError),
+    ],
+    ids=["generator-on", "generator-off", "generator-2-vector", "int", "none"],
+)
+def test_circle_recognition_reads_odd_points_as_the_fraction_reference(make_point, expected):
+    # A generator is drawn once, so each check gets a fresh one.
+    for check in (is_circle_or_line, reference_plane_circumcenter):
+        assert _circle_outcome(check, [*UNIT_CIRCLE_POINTS, make_point()]) == expected
+
+
+def test_circle_recognition_coerces_each_coordinate_once(monkeypatch):
+    calls = []
+
+    def counted(value, coerce=surfaces._coerce):
+        calls.append(value)
+        return coerce(value)
+
+    monkeypatch.setattr(surfaces, "_coerce", counted)
+    rng = random.Random(57)
+    spec = SurfaceSpec.family_e(rand_circle3(rng), rand_circle3(rng))
+    for n in (5, 9, 64):
+        on = coordinate_curve(spec, "u", Fraction(1, 2), grid_params(n))
+        off = [*on[:-1], (on[-1][0] + 1, *on[-1][1:])]
+        line = [(t, 2 * t, 0) for t in grid_params(n)]
+        for points, expected in ((on, True), (off, False), (line, True)):
+            calls.clear()
+            assert is_circle_or_line(points) is expected
+            assert len(calls) == 3 * n
 
 
 def test_circle_recognition_rejects_a_4_vector():
@@ -934,6 +1017,14 @@ def test_exports_reject_bad_cells_and_digits(export, grid, digits, match):
     # A fully masked grid renders no cell, and still has its digits checked.
     with pytest.raises(InvalidInput, match=match):
         export(grid, digits)
+
+
+@pytest.mark.parametrize("export", [export_csv, export_obj])
+@pytest.mark.parametrize("grid", [[[(1, 2, 3, 0.5)]], [[None, (Fraction(1, 2), 0.5)]]], ids=["4-vector-float", "2-vector-float"])
+def test_exports_reject_a_float_before_a_wrong_length(export, grid):
+    # Every coordinate of a cell is coerced before its length is checked.
+    with pytest.raises(TypeError):
+        export(grid, 2)
 
 
 def test_export_obj_skips_faces_at_masked_cells():

@@ -68,10 +68,9 @@ def _homogeneous(point) -> tuple[int, ...]:
 
 def _cell3(point) -> tuple[int, int, int, int]:
     """A rational 3-vector, validated by :func:`_vec`, as ``(n1, n2, n3, d)`` over its least common denominator; equal points give equal cells."""
+    # Unpacked by hand rather than _homogeneous(_vec(point, 3)): this is the point intake of circle checks.
     a, b, c = _vec(point, 3)
     da, db, dc = a.denominator, b.denominator, c.denominator
-    if da == db == dc:
-        return a.numerator, b.numerator, c.numerator, da
     d = lcm(da, db, dc)
     return a.numerator * (d // da), b.numerator * (d // db), c.numerator * (d // dc), d
 

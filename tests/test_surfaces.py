@@ -1004,27 +1004,22 @@ def test_export_obj():
 
 @pytest.mark.parametrize("export", [export_csv, export_obj])
 @pytest.mark.parametrize(
-    "grid, digits, match",
+    "grid, digits, exc, match",
     [
-        ([[(Fraction(1), Fraction(2))]], 2, "3-vector"),
-        ([[(1, 2, 3, 4), None]], 1, "3-vector"),
-        ([[None]], -1, "nonnegative"),
-        ([[None, None], [None, None]], -5, "nonnegative"),
+        ([[(Fraction(1), Fraction(2))]], 2, InvalidInput, "3-vector"),
+        ([[(1, 2, 3, 4), None]], 1, InvalidInput, "3-vector"),
+        ([[None]], -1, InvalidInput, "nonnegative"),
+        ([[None, None], [None, None]], -5, InvalidInput, "nonnegative"),
+        ([[(1, 2, 3, 0.5)]], 2, TypeError, "float"),
+        ([[None, (Fraction(1, 2), 0.5)]], 2, TypeError, "float"),
     ],
-    ids=["2-vector", "4-vector", "masked-1x1", "masked-2x2"],
+    ids=["2-vector", "4-vector", "masked-1x1", "masked-2x2", "4-vector-float", "2-vector-float"],
 )
-def test_exports_reject_bad_cells_and_digits(export, grid, digits, match):
-    # A fully masked grid renders no cell, and still has its digits checked.
-    with pytest.raises(InvalidInput, match=match):
+def test_exports_reject_bad_cells_and_digits(export, grid, digits, exc, match):
+    # A fully masked grid renders no cell, and still has its digits checked;
+    # every coordinate of a cell is coerced before its length is checked.
+    with pytest.raises(exc, match=match):
         export(grid, digits)
-
-
-@pytest.mark.parametrize("export", [export_csv, export_obj])
-@pytest.mark.parametrize("grid", [[[(1, 2, 3, 0.5)]], [[None, (Fraction(1, 2), 0.5)]]], ids=["4-vector-float", "2-vector-float"])
-def test_exports_reject_a_float_before_a_wrong_length(export, grid):
-    # Every coordinate of a cell is coerced before its length is checked.
-    with pytest.raises(TypeError):
-        export(grid, 2)
 
 
 def test_export_obj_skips_faces_at_masked_cells():

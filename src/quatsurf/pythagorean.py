@@ -19,26 +19,27 @@ gives ``tuple_from_pair`` its two norms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
 from .errors import BasePoint, NotTupleShaped
 from .qmat import Mat2
 from .qpoly import QPolyUV, RPolyUV, _norm, quat_poly
-from .quat import _ZERO, _json_array
+from .quat import _ZERO, _json_array, _Value
 
 
-@dataclass(frozen=True)
-class PyTuple:
+class PyTuple(_Value):
     """Six real polynomials in u and v, candidate sides of the sum-of-squares identity."""
 
-    x1: RPolyUV
-    x2: RPolyUV
-    x3: RPolyUV
-    x4: RPolyUV
-    x5: RPolyUV
-    x6: RPolyUV
+    __slots__ = ("x1", "x2", "x3", "x4", "x5", "x6")
+
+    def __init__(self, x1: RPolyUV, x2: RPolyUV, x3: RPolyUV, x4: RPolyUV, x5: RPolyUV, x6: RPolyUV):
+        object.__setattr__(self, "x1", x1)
+        object.__setattr__(self, "x2", x2)
+        object.__setattr__(self, "x3", x3)
+        object.__setattr__(self, "x4", x4)
+        object.__setattr__(self, "x5", x5)
+        object.__setattr__(self, "x6", x6)
 
     def components(self) -> tuple[RPolyUV, ...]:
         return (self.x1, self.x2, self.x3, self.x4, self.x5, self.x6)

@@ -26,20 +26,20 @@ rank, which is decided before any full product is formed;
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .qpoly import QPolyUV, _norm, _qmul, _rqmul
-from .quat import _json_array
+from .quat import _json_array, _Value
 
 # region types
 
 
-@dataclass(frozen=True)
-class Vec2:
+class Vec2(_Value):
     """A pair of quaternionic polynomials; the factor shape for rank-one products."""
 
-    e1: QPolyUV
-    e2: QPolyUV
+    __slots__ = ("e1", "e2")
+
+    def __init__(self, e1: QPolyUV, e2: QPolyUV):
+        object.__setattr__(self, "e1", e1)
+        object.__setattr__(self, "e2", e2)
 
     def conj(self) -> "Vec2":
         return Vec2(self.e1.conj(), self.e2.conj())
@@ -53,14 +53,16 @@ class Vec2:
         return cls(QPolyUV.from_json(e1), QPolyUV.from_json(e2))
 
 
-@dataclass(frozen=True)
-class Mat2:
+class Mat2(_Value):
     """A 2x2 matrix of quaternionic polynomials in u and v."""
 
-    m11: QPolyUV
-    m12: QPolyUV
-    m21: QPolyUV
-    m22: QPolyUV
+    __slots__ = ("m11", "m12", "m21", "m22")
+
+    def __init__(self, m11: QPolyUV, m12: QPolyUV, m21: QPolyUV, m22: QPolyUV):
+        object.__setattr__(self, "m11", m11)
+        object.__setattr__(self, "m12", m12)
+        object.__setattr__(self, "m21", m21)
+        object.__setattr__(self, "m22", m22)
 
     def entries(self) -> tuple[QPolyUV, QPolyUV, QPolyUV, QPolyUV]:
         return (self.m11, self.m12, self.m21, self.m22)

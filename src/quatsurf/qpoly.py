@@ -37,9 +37,9 @@ per variable.  The zero polynomial has degree -1 in every variable.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Mapping
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Mapping
 
 from .errors import DegreeTooHigh, InvalidInput
 from .quat import Quaternion, _canon, _coerce as _coerce_rational, _inverse, _json_object, _neg, _operand, _quat_json

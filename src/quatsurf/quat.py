@@ -19,6 +19,7 @@ from __future__ import annotations
 import sys
 from fractions import Fraction
 from math import gcd, lcm
+from operator import attrgetter
 
 from .errors import InvalidInput
 
@@ -328,3 +329,45 @@ ONE = _Q_ONE
 I = Quaternion(0, 1, 0, 0)
 J = Quaternion(0, 0, 1, 0)
 K = Quaternion(0, 0, 0, 1)
+
+
+class _Value:
+    """Base of the package's immutable value classes, such as ``Mat2`` and ``Circle3``.
+
+    A subclass lists its slots in ``__slots__``: the public ones are its
+    fields, in order, and a private one (``_frame``) stays out of equality,
+    hash and repr.  Its ``__init__`` sets each slot once through
+    ``object.__setattr__``; assignment and deletion raise AttributeError.
+    A value equals only a value of exactly its class with equal fields.
+    Copies and pickles call the constructor again, so validation reruns.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        if cls.__slots__:
+            cls.__match_args__ = tuple(name for name in cls.__slots__ if name[0] != "_")
+            # An attrgetter does not bind as a method does: call it as self._key(self).
+            cls._key = attrgetter(*cls.__match_args__)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        key = self._key
+        return key(self) == key(other)
+
+    def __hash__(self) -> int:
+        return hash(self._key(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in self.__match_args__)

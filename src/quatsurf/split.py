@@ -36,20 +36,20 @@ rather than returning an unverified certificate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import NoProgress, NotDegenerate, PreconditionDegree
 from .qmat import _CT, _SC, _SR, Mat2, Vec2, _full_rank_witness, _move, is_degenerate, kron
 from .qpoly import QPolyUV, _from_v_slices, left_div_rem, v_slices
-from .quat import _json_object
+from .quat import _json_object, _Value
 
 
-@dataclass(frozen=True)
-class SplitCertificate:
+class SplitCertificate(_Value):
     """Verified factor pair: ``kron(x, y)`` reproduces the input exactly."""
 
-    x: Vec2
-    y: Vec2
+    __slots__ = ("x", "y")
+
+    def __init__(self, x: Vec2, y: Vec2):
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "y", y)
 
     def to_json(self) -> dict:
         return {"x": self.x.to_json(), "y": self.y.to_json()}

@@ -21,10 +21,8 @@ first coordinate axis; ``stereo`` maps (w, x, y, z) to (x, y, z)/(1 - w) and
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
-from typing import ClassVar
 
 from .errors import (
     DegenerateFamily,
@@ -41,6 +39,7 @@ from .quat import (
     _quat_json,
     _ratio_of,
     _rationals_from_json,
+    _Value,
     rational_to_str,
 )
 
@@ -84,8 +83,7 @@ def _point(ints) -> tuple[Fraction, ...]:
 # region circles
 
 
-@dataclass(frozen=True)
-class _Circle:
+class _Circle(_Value):
     """A circle in ``dim``-space with a rational Weierstrass parametrization.
 
     The frame vectors must be orthogonal and of equal positive length; that
@@ -94,30 +92,26 @@ class _Circle:
     The frame is also kept on integers, ``(C, E1, E2)`` per coordinate over
     one common denominator ``L``.  ``_ints`` gives a point from it as the
     unreduced tuple ``(n_1, ..., n_dim, d)``, ``d > 0``, a quaternion tuple
-    in 4-space; ``point`` is its ``Fraction`` view.
+    in 4-space; ``point`` is its ``Fraction`` view.  A subclass sets ``dim``.
     """
 
-    center: tuple[Fraction, ...]
-    e1: tuple[Fraction, ...]
-    e2: tuple[Fraction, ...]
-    _frame: tuple = field(init=False, repr=False, compare=False)
+    __slots__ = ("center", "e1", "e2", "_frame")
 
-    dim: ClassVar[int]
-
-    def __post_init__(self):
-        for name in ("center", "e1", "e2"):
-            object.__setattr__(self, name, _vec(getattr(self, name), self.dim))
-        if _dot(self.e1, self.e2):
+    def __init__(self, center, e1, e2):
+        dim = self.dim
+        center, e1, e2 = _vec(center, dim), _vec(e1, dim), _vec(e2, dim)
+        if _dot(e1, e2):
             raise InvalidInput("frame vectors must be orthogonal")
-        n1 = _dot(self.e1, self.e1)
-        if n1 != _dot(self.e2, self.e2):
+        n1 = _dot(e1, e1)
+        if n1 != _dot(e2, e2):
             raise InvalidInput("frame vectors must have equal length")
         if not n1:
             raise InvalidInput("frame vectors must be nonzero")
-        *nums, den = _homogeneous(self.center + self.e1 + self.e2)
-        dim = self.dim
-        rows = tuple(zip(nums[:dim], nums[dim:2 * dim], nums[2 * dim:]))
-        object.__setattr__(self, "_frame", (rows, den))
+        *nums, den = _homogeneous(center + e1 + e2)
+        object.__setattr__(self, "center", center)
+        object.__setattr__(self, "e1", e1)
+        object.__setattr__(self, "e2", e2)
+        object.__setattr__(self, "_frame", (tuple(zip(nums[:dim], nums[dim:2 * dim], nums[2 * dim:])), den))
 
     @property
     def radius_sq(self) -> Fraction:
@@ -155,6 +149,7 @@ class _Circle:
 class Circle3(_Circle):
     """A circle in 3-space with a rational Weierstrass parametrization."""
 
+    __slots__ = ()
     dim = 3
 
 
@@ -166,10 +161,11 @@ class CircleS3(_Circle):
     exactly the condition for every parametrized point to have norm 1.
     """
 
+    __slots__ = ()
     dim = 4
 
-    def __post_init__(self):
-        super().__post_init__()
+    def __init__(self, center, e1, e2):
+        super().__init__(center, e1, e2)
         if _dot(self.center, self.e1) or _dot(self.center, self.e2):
             raise InvalidInput("circle center must be orthogonal to the frame vectors")
         if _dot(self.center, self.center) + self.radius_sq != 1:
@@ -192,8 +188,7 @@ _S3_FORM: tuple[tuple[int, ...], ...] = (
 )
 
 
-@dataclass(frozen=True)
-class Quadric4:
+class Quadric4(_Value):
     """A symmetric quadratic form on homogeneous 4-space coordinates.
 
     Rows and columns follow (x0, x1, x2, x3, h) with x0 the pole axis.  A
@@ -201,10 +196,10 @@ class Quadric4:
     sphere rather than a surface.
     """
 
-    q: tuple[tuple[Fraction, ...], ...]
+    __slots__ = ("q",)
 
-    def __post_init__(self):
-        rows = tuple(_vec(row, 5) for row in self.q)
+    def __init__(self, q):
+        rows = tuple(_vec(row, 5) for row in q)
         if len(rows) != 5:
             raise InvalidInput("a quadric needs a 5x5 coefficient matrix")
         object.__setattr__(self, "q", rows)
@@ -299,32 +294,34 @@ def quartic_to_json(quartic: Quartic) -> list[dict]:
 # region surface families
 
 
-@dataclass(frozen=True)
-class SurfaceSpec:
+class SurfaceSpec(_Value):
     """A surface description: family tag plus the data that family needs.
 
     Families: ``"e"`` sums two circles in 3-space, ``"c"`` multiplies two
     circles on the unit sphere and projects, ``"d"`` is implicit, given by a
-    quadric.
+    quadric.  A field the family does not use must be None.
     """
 
-    family: str
-    alpha: Circle3 | CircleS3 | None = None
-    beta: Circle3 | CircleS3 | None = None
-    quadric: Quadric4 | None = None
+    __slots__ = ("family", "alpha", "beta", "quadric")
 
-    def __post_init__(self):
-        if self.family == "e":
-            if not isinstance(self.alpha, Circle3) or not isinstance(self.beta, Circle3):
-                raise InvalidInput("family e needs two circles in 3-space")
-        elif self.family == "c":
-            if not isinstance(self.alpha, CircleS3) or not isinstance(self.beta, CircleS3):
-                raise InvalidInput("family c needs two circles on the unit sphere")
-        elif self.family == "d":
-            if not isinstance(self.quadric, Quadric4):
-                raise InvalidInput("family d needs a quadric")
+    def __init__(
+        self, family: str, alpha: _Circle | None = None, beta: _Circle | None = None, quadric: Quadric4 | None = None
+    ):
+        if family == "e":
+            if not isinstance(alpha, Circle3) or not isinstance(beta, Circle3) or quadric is not None:
+                raise InvalidInput("family e needs two circles in 3-space and no quadric")
+        elif family == "c":
+            if not isinstance(alpha, CircleS3) or not isinstance(beta, CircleS3) or quadric is not None:
+                raise InvalidInput("family c needs two circles on the unit sphere and no quadric")
+        elif family == "d":
+            if not isinstance(quadric, Quadric4) or alpha is not None or beta is not None:
+                raise InvalidInput("family d needs a quadric and no circles")
         else:
-            raise InvalidInput(f"unknown family {self.family!r}")
+            raise InvalidInput(f"unknown family {family!r}")
+        object.__setattr__(self, "family", family)
+        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "beta", beta)
+        object.__setattr__(self, "quadric", quadric)
 
     @classmethod
     def family_e(cls, alpha: Circle3, beta: Circle3) -> "SurfaceSpec":

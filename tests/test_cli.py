@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import quatsurf
 from quatsurf import (
     CircleS3,
     Mat2,
@@ -395,6 +396,20 @@ def test_module_entry_point(tmp_path):
     assert proc.returncode == 2 and proc.stdout == ""
     assert len(proc.stderr.splitlines()) == 1
     assert json.loads(proc.stderr)["error"] == "UsageError"
+
+
+def test_fresh_import_loads_no_heavy_stdlib_modules():
+    # -S keeps site hooks, which may preload modules of their own, out of the check.
+    src = os.path.dirname(os.path.dirname(quatsurf.__file__))
+    heavy = ("dataclasses", "inspect", "typing", "ast", "dis", "tokenize")
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", f"import quatsurf.cli, sys; print([m for m in {heavy!r} if m in sys.modules])"],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert proc.stdout.strip() == "[]"
 
 
 # Arbitrary small JSON documents for every subcommand: a valid document of

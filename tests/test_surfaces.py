@@ -1038,14 +1038,20 @@ def test_export_obj_skips_faces_at_masked_cells():
 
 
 def test_surface_spec_validation():
-    with pytest.raises(InvalidInput):
-        SurfaceSpec("e", alpha=XY_CIRCLE, beta=GREAT_CIRCLE)
-    with pytest.raises(InvalidInput):
-        SurfaceSpec("c", alpha=XY_CIRCLE, beta=XZ_CIRCLE)
-    with pytest.raises(InvalidInput):
-        SurfaceSpec("d", alpha=XY_CIRCLE)
-    with pytest.raises(InvalidInput):
-        SurfaceSpec("x")
+    cases = [
+        ("e", {"alpha": XY_CIRCLE, "beta": GREAT_CIRCLE}),
+        ("c", {"alpha": XY_CIRCLE, "beta": XZ_CIRCLE}),
+        ("d", {"alpha": XY_CIRCLE}),
+        ("x", {}),
+        # A field the family does not use: to_json would drop it, so the spec would not survive a JSON round trip.
+        ("e", {"alpha": XY_CIRCLE, "beta": XZ_CIRCLE, "quadric": TORUS_QUADRIC}),
+        ("c", {"alpha": GREAT_CIRCLE, "beta": GREAT_CIRCLE, "quadric": TORUS_QUADRIC}),
+        ("d", {"alpha": XY_CIRCLE, "quadric": TORUS_QUADRIC}),
+        ("d", {"beta": GREAT_CIRCLE, "quadric": TORUS_QUADRIC}),
+    ]
+    for family, fields in cases:
+        with pytest.raises(InvalidInput):
+            SurfaceSpec(family, **fields)
 
 
 def test_surface_spec_json_round_trip():
@@ -1057,8 +1063,8 @@ def test_surface_spec_json_round_trip():
     ]
     for spec in specs:
         again = SurfaceSpec.from_json(spec.to_json())
+        assert again == spec
         assert again.to_json() == spec.to_json()
-        assert again.family == spec.family
 
 
 def test_circle_json_round_trip():

@@ -191,7 +191,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = commands.add_parser("split", help="factor a degenerate matrix into a rank-one certificate")
     p.add_argument("--in", dest="infile", required=True, metavar="M.json", help="2x2 matrix file")
-    p.add_argument("--normalize", action="store_true", help="normalize the certificate")
+    p.add_argument(
+        "--normalize",
+        action="store_true",
+        help="output the normalized certificate, the stable form; without it the output is a verified "
+        "certificate whose form may change between versions",
+    )
     _add_out(p)
     p.set_defaults(func=_cmd_split)
 

@@ -22,6 +22,8 @@ canonicalized once.  A quaternion product takes 16 integer multiplications
 per term pair, or 8 when the first stored coefficient of both operands has a
 numerator longer than ``_BIG_BITS`` (512) bits; the two forms give identical
 values, and the 8-multiplication one is faster only on long integers.
+Scaling by one quaternion on the right (``_scaled``) skips the accumulation:
+one Hamilton product per term, each canonicalized on its own.
 Two real kernels skip the quaternion product where a value is real:
 ``_norm`` forms ``p*conj(p)``, or a signed sum of such norms, from one dot
 product per unordered term pair, and ``_rqmul`` multiplies a real map into a
@@ -43,7 +45,7 @@ from math import gcd, lcm
 
 from .errors import DegreeTooHigh, InvalidInput
 from .quat import Quaternion, _canon, _coerce as _coerce_rational, _inverse, _json_object, _neg, _operand, _quat_json
-from .quat import _ratio_to_str, _sum, rational_from_str
+from .quat import _product, _ratio_to_str, _sum, rational_from_str
 
 _Q_ZERO = Quaternion.zero()
 _ZERO_FR = Fraction(0)
@@ -355,6 +357,11 @@ class _SparseUV:
     def _add_mul(self, b, c, sign: int = 1):
         """``self + sign*(b*c)`` for polynomials of this type, in one fused pass."""
         return self._raw(_qmul(b._ints, c._ints, self._ints, sign))
+
+    def _scaled(self, c: Quaternion):
+        """``self*c`` for a nonzero quaternion ``c``: one Hamilton product per term, none accumulated."""
+        t = c._t
+        return self._raw({key: _product(a, t) for key, a in self._ints.items()})
 
     def eval(self, u0, v0):
         """Evaluate at a rational point."""

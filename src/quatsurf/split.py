@@ -6,8 +6,17 @@ the elementary moves defined in :mod:`quatsurf.qmat`, replayed here, each of
 which is undone on the factors afterwards:
 
 * row swap, column swap, conjugate transpose (relabel the factor slots), and
-* a column operation ``col1 -= col2 * x`` with x free of v, which turns a
-  certificate (a, b) of the reduced matrix into (a, (b1 + b2*x, b2)).
+* a scaled column operation ``col1 = (col1 - col2*x) * c^-1`` with x free of
+  v and c a nonzero quaternion, which turns a certificate (a, b) of the
+  reduced matrix into (a, (b1*c + b2*x, b2)).
+
+The scale c is the leading coefficient of the new first column's driver at
+position 21, or at 11 when that one is zero, so the column is monic there; a
+zero driver column is scaled by 1.  Without the scale, coefficients swell
+over a long reduction: on dense products of u-degree 3 with 3-digit heights,
+raw certificates held integers of up to 1697 bits, and with it they hold at
+most 100.  Which certificate comes out depends on the reduction path; its
+normalized form (:func:`split_normalize`) does not.
 
 One division game drives the reduction, on the v-slices of the entries
 ``m_ij = s_ij(u)*v + c_ij(u)``, cut once from the input: the eight slices are
@@ -16,8 +25,9 @@ nonzero, and the v-free parts ``c_ij`` after that.  A symmetry is chosen that
 puts a nonzero driver of minimal degree at position 22 with a nonzero driver
 at 21, and the division ``d21 = d22*q + r`` feeds the column operation.  Each
 accepted step strictly shrinks the pair (number of nonzero drivers, minimal
-driver degree) in lexicographic order; the other four slices follow their
-entries through the same moves and the same ``q``.  Once an entry is zero the
+driver degree) in lexicographic order, and scaling does not change it; the
+other four slices follow their entries through the same moves, the same
+``q`` and the same scale.  Once an entry is zero the
 matrix is assembled from its slices; it has a zero row or column and factors
 by inspection.
 
@@ -38,7 +48,7 @@ from __future__ import annotations
 
 from .errors import NoProgress, NotDegenerate, PreconditionDegree
 from .qmat import _CT, _SC, _SR, Mat2, Vec2, _full_rank_witness, _move, is_degenerate, kron
-from .qpoly import QPolyUV, _from_v_slices, left_div_rem, v_slices
+from .qpoly import QPolyU, QPolyUV, _from_v_slices, left_div_rem, v_slices
 from .quat import _json_object, _Value
 
 
@@ -88,7 +98,8 @@ def _undo_on_factors(x: tuple[QPolyUV, QPolyUV], y: tuple[QPolyUV, QPolyUV], mov
         return x, (y[1], y[0])
     if kind == _CT:
         return (y[0].conj(), y[1].conj()), (x[0].conj(), x[1].conj())
-    return x, (y[0]._add_mul(y[1], move[1]), y[1])
+    _, q, c = move
+    return x, (y[0]._scaled(c)._add_mul(y[1], q), y[1])
 
 
 def _measure(drivers) -> tuple[int, int]:
@@ -135,9 +146,12 @@ def _step(slopes, consts) -> tuple[list, tuple, tuple]:
 
     Returns the moves and the slopes and v-free parts after them.  The new
     first column of the drivers is what the ranking computed, ``d11 - d12*q``
-    and the remainder ``r = d21 - d22*q``; the following slices take the
-    same moves and the same ``q``, which costs nothing once they are the
-    zero slopes.
+    and the remainder ``r = d21 - d22*q``, right-multiplied by ``c^-1``,
+    where ``c`` is the leading coefficient of ``r``, or of ``d11 - d12*q``
+    when ``r`` is zero, or 1 when both are; the following slices take the
+    same moves, the same ``q`` and the same ``c^-1``, which costs nothing
+    once they are the zero slopes.  The column move is recorded as
+    ``(_CO, q, c)`` and undone on the factors as ``y1 -> y1*c + y2*q``.
     """
     by_slope = any(slopes)
     drivers, others = (slopes, consts) if by_slope else (consts, slopes)
@@ -156,13 +170,17 @@ def _step(slopes, consts) -> tuple[list, tuple, tuple]:
         q, r = left_div_rem(d[2], d[3])
         if not q:
             continue
-        driven = (d[0]._add_mul(d[1], q, -1), d[1], r, d[3])
-        if _measure(driven) < cur_measure:
+        d11 = d[0]._add_mul(d[1], q, -1)
+        if _measure((d11, d[1], r, d[3])) < cur_measure:
             for op in sym:
                 others = _move(others, op)
             o11, o12, o21, o22 = others
-            others = (o11._add_mul(o12, q, -1), o12, o21._add_mul(o22, q, -1), o22)
-            moves = [(op,) for op in sym] + [(_CO, q.to_uv())]
+            o11, o21 = o11._add_mul(o12, q, -1), o21._add_mul(o22, q, -1)
+            c = (r or d11 or QPolyU.one()).lead
+            inv = c.inverse()
+            d11, r, o11, o21 = d11._scaled(inv), r._scaled(inv), o11._scaled(inv), o21._scaled(inv)
+            driven, others = (d11, d[1], r, d[3]), (o11, o12, o21, o22)
+            moves = [(op,) for op in sym] + [(_CO, q.to_uv(), c)]
             return (moves, driven, others) if by_slope else (moves, others, driven)
     raise NoProgress("no symmetry and division step shrinks the measure of the drivers")
 
@@ -241,6 +259,17 @@ def split_normalize(cert: SplitCertificate) -> SplitCertificate:
     in lexicographic order.  Rescaling multiplies x by ``c`` on the right and
     y by ``c.inverse()`` on the left, which leaves the product unchanged.
     A certificate with ``x = (0, 0)`` is returned as is.
+
+    For a nonzero matrix, ``split_normalize(split(m))`` is the contract:
+    raw certificates depend on the reduction path, which may change between
+    versions, but the normalized one does not.  Factoring ``m`` after any of
+    the eight symmetries, and mapping the certificate back, normalizes to
+    the same certificate.  Normalizing rescales by a constant only and moves
+    no polynomial factor between x and y; where a common factor ends is the
+    reduction's.  For ``m = kron(x*g, y)`` with x free of v, the common
+    right factor g ends in y, and for the conjugate transpose of such a
+    product ``conj(g)`` ends in x.  The zero matrix has no such form: its y
+    is free.
     """
     first = cert.x.e1 if cert.x.e1 else cert.x.e2
     if not first:

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -396,6 +397,30 @@ def test_module_entry_point(tmp_path):
     assert proc.returncode == 2 and proc.stdout == ""
     assert len(proc.stderr.splitlines()) == 1
     assert json.loads(proc.stderr)["error"] == "UsageError"
+
+
+def _readme_split_example() -> tuple[list, dict]:
+    """The README's ``((1, v), (u, uv))`` matrix and the certificate it says ``split`` answers."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    after = readme.split("the rank-one matrix\n`((1, v), (u, uv))` is", 1)[1]
+    matrix, certificate = (block.split("```", 1)[0] for block in after.split("```json\n")[1:3])
+    return json.loads(matrix), json.loads(certificate)
+
+
+def test_readme_split_example_is_what_the_cli_prints(tmp_path):
+    # Raw split output may change between versions; the documented example
+    # must still be exactly what a fresh process prints for it.
+    matrix, certificate = _readme_split_example()
+    path = write_json(tmp_path / "m.json", matrix)
+    src = os.path.dirname(os.path.dirname(quatsurf.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-m", "quatsurf.cli", "split", "--in", path],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert proc.stdout == json.dumps(certificate, sort_keys=True, indent=2) + "\n"
 
 
 def test_fresh_import_loads_no_heavy_stdlib_modules():

@@ -648,6 +648,15 @@ def test_real_times_quaternion_matches_the_quaternion_product(r, q, cancel):
     assert_canonical(result)
 
 
+@given(huge_qpolys, huge_quaternions.filter(bool))
+def test_scaling_by_one_quaternion_matches_the_product(p, c):
+    for poly in (p, QPolyU([p.coeff(du, 0) for du in range(p.deg_u + 1)])):
+        result = poly._scaled(c)
+        assert type(result) is type(poly)
+        assert result == poly * c
+        assert_canonical(result)
+
+
 @given(huge_rpolys)
 def test_real_polynomial_survives_the_quaternion_embedding(p):
     embedded = p.to_quat()

@@ -6,7 +6,7 @@ import json
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from quatsurf import (
@@ -33,7 +33,7 @@ from quatsurf.qpoly import _from_v_slices, v_slices
 from quatsurf.quat import I, J, K, ONE
 from quatsurf.split import _measure, _step
 
-from helpers import _apply_move, rand_nonzero_qpolyuv, rand_nonzero_quat, rand_qpolyuv, rand_vec2, reference_split
+from helpers import _apply_move, _undo_on_factors, rand_nonzero_qpolyuv, rand_nonzero_quat, rand_qpolyuv, rand_vec2, reference_split
 
 U = QPolyUV.var_u()
 V = QPolyUV.var_v()
@@ -81,12 +81,19 @@ def test_constant_pythagorean_matrix():
     assert_splits(m)
 
 
-# Raw (un-normalized) split certificates, frozen.  Each reduction takes a
-# conjugate transpose, so a symmetry search that ranks, derives or applies
-# the symmetries differently changes the factors.
+# Raw (un-normalized) split certificates, frozen, with their normalized
+# forms.  Each reduction takes a conjugate transpose, so a symmetry search
+# that ranks, derives or applies the symmetries differently changes the raw
+# factors.  The raw forms follow the monic-column reduction (each new first
+# column is made monic); the normalized forms are the ones every earlier
+# reduction path gave too.
 _FROZEN_SPLITS = [
     (
         kron(Vec2(ONE_P, U), Vec2(V * I + U, V * J)),
+        {
+            "x": [[{"u": 0, "v": 0, "c": ["1", "0", "0", "0"]}], [{"u": 1, "v": 0, "c": ["1", "0", "0", "0"]}]],
+            "y": [[{"u": 0, "v": 1, "c": ["0", "1", "0", "0"]}, {"u": 1, "v": 0, "c": ["1", "0", "0", "0"]}], [{"u": 0, "v": 1, "c": ["0", "0", "1", "0"]}]],
+        },
         {
             "x": [[{"u": 0, "v": 0, "c": ["1", "0", "0", "0"]}], [{"u": 1, "v": 0, "c": ["1", "0", "0", "0"]}]],
             "y": [[{"u": 0, "v": 1, "c": ["0", "1", "0", "0"]}, {"u": 1, "v": 0, "c": ["1", "0", "0", "0"]}], [{"u": 0, "v": 1, "c": ["0", "0", "1", "0"]}]],
@@ -98,37 +105,63 @@ _FROZEN_SPLITS = [
             "x": [[{"u": 0, "v": 0, "c": ["1", "-1", "0", "0"]}], [{"u": 0, "v": 0, "c": ["1", "0", "0", "0"]}]],
             "y": [[{"u": 2, "v": 0, "c": ["0", "0", "-1", "0"]}, {"u": 2, "v": 1, "c": ["-1", "1", "0", "0"]}], [{"u": 1, "v": 1, "c": ["0", "1", "0", "-1"]}]],
         },
+        {
+            "x": [[{"u": 0, "v": 0, "c": ["1", "0", "0", "0"]}], [{"u": 0, "v": 0, "c": ["1/2", "1/2", "0", "0"]}]],
+            "y": [[{"u": 2, "v": 0, "c": ["0", "0", "-1", "1"]}, {"u": 2, "v": 1, "c": ["0", "2", "0", "0"]}], [{"u": 1, "v": 1, "c": ["1", "1", "-1", "-1"]}]],
+        },
     ),
     (
         kron(Vec2(U * J, ONE_P + U * const(1, 0, -1)), Vec2(const(1, 1) + U * 2, ONE_P + V * const(1, 1))),
         {
-            "x": [[{"u": 1, "v": 0, "c": ["-1", "0", "1", "0"]}], [{"u": 0, "v": 0, "c": ["1", "0", "1", "0"]}, {"u": 1, "v": 0, "c": ["2", "0", "0", "0"]}]],
-            "y": [[{"u": 0, "v": 0, "c": ["1/2", "1/2", "-1/2", "1/2"]}, {"u": 1, "v": 0, "c": ["1", "0", "-1", "0"]}], [{"u": 0, "v": 0, "c": ["1/2", "0", "-1/2", "0"]}, {"u": 0, "v": 1, "c": ["1/2", "1/2", "-1/2", "1/2"]}]],
+            "x": [[{"u": 1, "v": 0, "c": ["0", "0", "1", "-1"]}], [{"u": 0, "v": 0, "c": ["1", "1", "0", "0"]}, {"u": 1, "v": 0, "c": ["1", "1", "-1", "1"]}]],
+            "y": [[{"u": 0, "v": 0, "c": ["1", "0", "0", "0"]}, {"u": 1, "v": 0, "c": ["1", "-1", "0", "0"]}], [{"u": 0, "v": 0, "c": ["1/2", "-1/2", "0", "0"]}, {"u": 0, "v": 1, "c": ["1", "0", "0", "0"]}]],
+        },
+        {
+            "x": [[{"u": 1, "v": 0, "c": ["1", "0", "0", "0"]}], [{"u": 0, "v": 0, "c": ["0", "0", "-1", "0"]}, {"u": 1, "v": 0, "c": ["-1", "0", "-1", "0"]}]],
+            "y": [[{"u": 0, "v": 0, "c": ["0", "0", "1", "-1"]}, {"u": 1, "v": 0, "c": ["0", "0", "2", "0"]}], [{"u": 0, "v": 0, "c": ["0", "0", "1", "0"]}, {"u": 0, "v": 1, "c": ["0", "0", "1", "-1"]}]],
         },
     ),
 ]
 
 
-@pytest.mark.parametrize("m, frozen", _FROZEN_SPLITS, ids=["row-swap-then-ct", "co-then-ct", "ct-first"])
-def test_split_choices_are_frozen(m, frozen):
-    assert split(m).to_json() == frozen
+@pytest.mark.parametrize("m, raw, normalized", _FROZEN_SPLITS, ids=["row-swap-then-ct", "co-then-ct", "ct-first"])
+def test_split_choices_are_frozen(m, raw, normalized):
+    cert = split(m)
+    assert cert.to_json() == raw
+    assert split_normalize(cert).to_json() == normalized
 
 
-def test_costly_shape_certificates_are_pinned():
-    # Dense factors of u-degree 3 with 3-digit heights, whose coefficients
-    # grow to thousands of bits.  reference_split shares the polynomial
-    # kernel and cannot catch a fault in it; this digest of the raw and
-    # normalized certificates, taken before the kernel was fused, can.
+def _costly_shapes():
+    """Dense factors of u-degree 3 with 3-digit heights: the 8 products whose
+    coefficients grew to thousands of bits before the columns were made monic."""
     rng = random.Random(40)
-    digest = hashlib.sha256()
     for _ in range(8):
         x = rand_vec2(rng, 3, 0, density=1.0, max_num=999, max_den=999)
         y = rand_vec2(rng, 3, 1, density=1.0, max_num=999, max_den=999)
-        cert = split(kron(x, y))
-        for c in (cert, split_normalize(cert)):
-            digest.update(json.dumps(c.to_json(), separators=(",", ":")).encode())
-    assert digest.hexdigest() == "c9ad99405aa8e82723a945d065d5c942758369f198c0e10dc53bc1c5a1374ac1"
+        yield kron(x, y)
 
+
+def test_costly_shape_certificates_are_pinned():
+    # reference_split shares the polynomial kernel and cannot catch a fault
+    # in it; this digest of the normalized certificates, taken before the
+    # kernel was fused and before the columns were made monic, can.  Raw
+    # certificates depend on the reduction path and are not pinned here.
+    digest = hashlib.sha256()
+    for m in _costly_shapes():
+        cert = split_normalize(split(m))
+        digest.update(json.dumps(cert.to_json(), separators=(",", ":")).encode())
+    assert digest.hexdigest() == "dd9a8946dac85ab3dfbe333cc12147320a25b1b51a1b9eea1e13e5a5ee43062a"
+
+
+def test_costly_shape_raw_certificates_stay_small():
+    # With the monic column the raw certificates of these shapes hold
+    # integers of 78-100 bits; without it they reached 1316-1697 bits.
+    for m in _costly_shapes():
+        cert = split(m)
+        for e in (cert.x.e1, cert.x.e2, cert.y.e1, cert.y.e2):
+            for c in e.terms.values():
+                for r in c.components():
+                    assert max(r.numerator.bit_length(), r.denominator.bit_length()) <= 128
 
 
 def _replayed(m: Mat2, moves) -> Mat2:
@@ -151,6 +184,8 @@ def test_each_v_step_shrinks_the_measure_of_the_matrix():
     # slices forward: assembled, they must equal the input with the returned
     # moves replayed on it, and the slices that drove the step (the slopes
     # while any is nonzero, then the v-free parts) must have a smaller measure.
+    # A certificate of the reduced matrix, with every move undone, must
+    # factor the input.
     rng = random.Random(39)
     v_free_steps = 0
     for i in range(80):
@@ -160,15 +195,21 @@ def test_each_v_step_shrinks_the_measure_of_the_matrix():
             m = kron(rand_vec2(rng, 1, 1), rand_vec2(rng, 2, 0))
         else:
             m = kron(rand_vec2(rng, 2, 0), rand_vec2(rng, 1, 1))
-        slices = _slices(m)
+        start, slices, replayed = m, _slices(m), []
         while all(m.entries()):
             drives = 0 if any(slices[0]) else 1
             before = _measure(slices[drives])
             moves, *slices = _step(*slices)
             m = _replayed(m, moves)
+            replayed += moves
             assert _assembled(*slices) == m
             assert _measure(slices[drives]) < before
             v_free_steps += drives
+        cert = split(m)
+        x, y = (cert.x.e1, cert.x.e2), (cert.y.e1, cert.y.e2)
+        for move in reversed(replayed):
+            x, y = _undo_on_factors(x, y, move)
+        assert kron(Vec2(*x), Vec2(*y)) == start
     assert v_free_steps > 40
 
 
@@ -212,19 +253,55 @@ def split_cases(draw):
 
 def _outcome(factor, m):
     try:
-        return factor(m).to_json()
+        return split_normalize(factor(m)).to_json()
     except QuatsurfError as exc:
         return type(exc)
 
 
 @given(split_cases())
 def test_split_matches_the_two_case_reduction(matrices):
-    # Raw certificates, not only their products: the one-game reduction must
-    # take the same steps as the two-game one it replaced.  The reference
+    # Normalized certificates, not only their products: the reference takes
+    # the steps of the two-game reduction without monic columns, so raw
+    # certificates differ, but the normalized ones must agree.  The reference
     # decides degeneracy up front, so a full-rank matrix must end in
     # NotDegenerate on both.
     for m in matrices:
         assert _outcome(split, m) == _outcome(reference_split, m)
+
+
+@st.composite
+def nonzero_products(draw):
+    """Factor-shaped products kron(x, y) with x v-free, their conjugate
+    transposes (x depends on v), and products whose x has a common right
+    factor; never the zero matrix, whose y is free."""
+    rng = draw(st.randoms(use_true_random=False))
+    kind = draw(st.sampled_from(["factor", "transposed", "common-factor"]))
+    x, y = rand_vec2(rng, 2, 0), rand_vec2(rng, 2, 1)
+    if kind == "common-factor":
+        g = rand_nonzero_qpolyuv(rng, 1, 0)
+        x = Vec2(x.e1 * g, x.e2 * g)
+    m = kron(x, y)
+    if kind == "transposed":
+        m = conj_transpose(m)
+    assume(not m.is_zero)
+    return m
+
+
+@given(nonzero_products())
+def test_normalized_certificate_does_not_depend_on_the_path(m):
+    # Factoring S(m) for each of the eight symmetries S and mapping the
+    # certificate back through S's moves gives the certificate of m that
+    # split_normalize returns: the normalized form is path-independent.
+    expected = split_normalize(split(m))
+    for sym in SPLIT_MODULE._SYMMETRIES:
+        moved = m.entries()
+        for op in sym:
+            moved = _move(moved, op)
+        cert = split(Mat2(*moved))
+        x, y = (cert.x.e1, cert.x.e2), (cert.y.e1, cert.y.e2)
+        for op in reversed(sym):
+            x, y = _undo_on_factors(x, y, (op,))
+        assert split_normalize(SplitCertificate(Vec2(*x), Vec2(*y))) == expected
 
 # endregion
 

@@ -19,9 +19,7 @@ numerator, so equal polynomials have equal maps.  Sums,
 products, conjugates and division steps run on these tuples, with a
 denominator per coefficient, never per polynomial; each output coefficient is
 canonicalized once.  A quaternion product takes 16 integer multiplications
-per term pair, or 8 when the first stored coefficient of both operands has a
-numerator longer than ``_BIG_BITS`` (512) bits; the two forms give identical
-values, and the 8-multiplication one is faster only on long integers.
+per term pair.
 Scaling by one quaternion on the right (``_scaled``) skips the accumulation:
 one Hamilton product per term, each canonicalized on its own.
 Two real kernels skip the quaternion product where a value is real:
@@ -65,17 +63,6 @@ def _combine(p: dict, q: dict, sign: int) -> dict:
     return out
 
 
-#: Bit length past which a term map's numerators count as big for :func:`_qmul`.
-_BIG_BITS = 512
-
-
-def _is_big(terms: dict) -> bool:
-    """Whether the first stored coefficient of ``terms`` has a numerator over :data:`_BIG_BITS` bits."""
-    for w, x, y, z, _ in terms.values():
-        return (abs(w) | abs(x) | abs(y) | abs(z)).bit_length() > _BIG_BITS
-    return False
-
-
 def _terms(out: dict) -> dict:
     """The canonical term map of accumulated quaternion tuples: each over its gcd, zeros dropped."""
     return {key: c for key, t in out.items() if (c := _canon(t)) is not None}
@@ -88,39 +75,19 @@ def _qmul(p: dict, q: dict, acc: dict | None = None, sign: int = 1) -> dict:
     default), over the product of the two denominators or, where those differ
     between terms, their lcm; each output coefficient is then reduced by its
     gcd once (:func:`_terms`), so a fused ``a - b*c`` costs one pass and one
-    canonicalization.
-
-    Each term pair costs 16 integer multiplications, or 8 when both maps are
-    big: when the first stored coefficient of each has a numerator longer
-    than ``_BIG_BITS`` (512) bits, which is checked once per call.  The
-    8-multiplication form (Howell and Lafon, "The complexity of the quaternion
-    product", Cornell TR 75-245, 1975) trades multiplications for additions,
-    which pays only on long integers; every sum it halves is even, so both
-    forms give identical values.
+    canonicalization.  Each term pair costs 16 integer multiplications.
     """
     if sign < 0:
         p = {key: _neg(c) for key, c in p.items()}
-    big = _is_big(p) and _is_big(q)
     out: dict = {} if acc is None else dict(acc)
     get = out.get
     for (u1, v1), (a0, a1, a2, a3, da) in p.items():
         for (u2, v2), (b0, b1, b2, b3, db) in q.items():
             key = (u1 + u2, v1 + v2)
-            if big:
-                t5 = (a1 + a3) * (b1 + b2)
-                t6 = (a1 - a3) * (b1 - b2)
-                t7 = (a0 + a2) * (b0 - b3)
-                t8 = (a0 - a2) * (b0 + b3)
-                p56, p78, m56, m78 = t5 + t6, t7 + t8, t5 - t6, t7 - t8
-                w = (a3 - a2) * (b2 - b3) + (p78 - p56 >> 1)
-                x = (a0 + a1) * (b0 + b1) - (p56 + p78 >> 1)
-                y = (m56 + m78 >> 1) - (a1 - a0) * (b2 + b3)
-                z = (m56 - m78 >> 1) - (a2 + a3) * (b1 - b0)
-            else:
-                w = a0 * b0 - a1 * b1 - a2 * b2 - a3 * b3
-                x = a0 * b1 + a1 * b0 + a2 * b3 - a3 * b2
-                y = a0 * b2 - a1 * b3 + a2 * b0 + a3 * b1
-                z = a0 * b3 + a1 * b2 - a2 * b1 + a3 * b0
+            w = a0 * b0 - a1 * b1 - a2 * b2 - a3 * b3
+            x = a0 * b1 + a1 * b0 + a2 * b3 - a3 * b2
+            y = a0 * b2 - a1 * b3 + a2 * b0 + a3 * b1
+            z = a0 * b3 + a1 * b2 - a2 * b1 + a3 * b0
             d = da * db
             cur = get(key)
             if cur is None:

@@ -514,18 +514,6 @@ def reference_mul(p: dict, q: dict) -> dict:
     return out
 
 
-def reference_quat_product(a: tuple, b: tuple) -> tuple:
-    """The Hamilton product of integer quadruples ``(w, x, y, z)``, with 16 multiplications."""
-    a0, a1, a2, a3 = a
-    b0, b1, b2, b3 = b
-    return (
-        a0 * b0 - a1 * b1 - a2 * b2 - a3 * b3,
-        a0 * b1 + a1 * b0 + a2 * b3 - a3 * b2,
-        a0 * b2 - a1 * b3 + a2 * b0 + a3 * b1,
-        a0 * b3 + a1 * b2 - a2 * b1 + a3 * b0,
-    )
-
-
 def reference_qpolyuv_mul(p: QPolyUV, q: QPolyUV) -> QPolyUV:
     """``p * q`` by a loop over Quaternion coefficient products, as an oracle."""
     return QPolyUV(reference_mul(p.terms, q.terms))

@@ -22,8 +22,8 @@ from quatsurf import (
     right_div_rem,
     v_slices,
 )
-from quatsurf.qpoly import _BIG_BITS, _is_big, _norm, _qmul, _rqmul
-from quatsurf.quat import I, J, K, ONE, _canon
+from quatsurf.qpoly import _norm, _rqmul
+from quatsurf.quat import I, J, K, ONE
 
 from helpers import (
     assert_canonical,
@@ -39,7 +39,6 @@ from helpers import (
     reference_mul,
     reference_neg,
     reference_qpolyuv_mul,
-    reference_quat_product,
 )
 
 U = QPolyU.var_u()
@@ -486,9 +485,12 @@ def test_integer_core_matches_the_fraction_oracles(core, data):
             assert (quotient.terms, remainder.terms) == reference_div_rem(p, q, left)
 
 
-# Heights up to about 10**30, mixed with small ones so denominators differ per coefficient.
+# Heights up to about 10**30, or about 10**300 (numerators of about 1000 bits),
+# mixed with small ones so denominators differ per coefficient.
 huge_fractions = st.builds(Fraction, st.integers(-10**30, 10**30), st.integers(1, 10**30))
-huge_rationals = st.one_of(fractions, huge_fractions)
+long_nums = st.integers(10**299, 10**300) | st.integers(-10**300, -10**299)
+long_fractions = st.builds(Fraction, long_nums, st.integers(1, 10**30))
+huge_rationals = st.one_of(fractions, huge_fractions, long_fractions)
 huge_quaternions = st.builds(Quaternion, *[huge_rationals] * 4)
 HUGE_COEFFS = {"QPolyUV": huge_quaternions, "QPolyU": huge_quaternions, "RPolyUV": huge_rationals}
 
@@ -540,77 +542,6 @@ def test_every_route_to_a_value_gives_one_canonical_form(core, data):
     difference = a - a
     assert difference == cls.zero() and hash(difference) == hash(cls.zero())
     assert not difference.terms and not difference._ints
-
-
-# endregion
-
-# region the 8-multiplication quaternion product
-
-# Heights up to 10**300, with zeros and small values, in either sign.
-wide_ints = st.one_of(st.just(0), st.integers(-10**12, 10**12), st.integers(-10**300, 10**300))
-
-
-@given(st.tuples(*[wide_ints] * 4), st.tuples(*[wide_ints] * 4))
-def test_eight_multiplication_form_matches_the_sixteen(a, b):
-    # With the threshold below every bit length, every product takes the
-    # 8-multiplication path; d = 1 leaves the canonical form untouched.
-    expected = reference_quat_product(a, b)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr("quatsurf.qpoly._BIG_BITS", -1)
-        product = _qmul({(0, 0): (*a, 1)}, {(0, 0): (*b, 1)})
-    assert product == ({(0, 0): (*expected, 1)} if any(expected) else {})
-
-
-def test_big_means_over_the_threshold():
-    edge = 2**_BIG_BITS - 1
-    assert not _is_big({})
-    assert not _is_big({(0, 0): (0, edge, 0, -edge, 1)})
-    assert _is_big({(0, 0): (0, 0, -(edge + 1), 0, 3)})
-    # Only the first stored coefficient counts.
-    assert not _is_big({(0, 0): (1, 0, 0, 0, 1), (1, 0): (edge + 1, 0, 0, 0, 1)})
-
-
-# Numerators of at least 600 bits stay over the threshold after any gcd with a
-# denominator of at most 10**12; small ones stay far below it.
-small_nums = st.integers(-10**12, 10**12)
-big_nums = st.one_of(st.integers(2**600, 10**300), st.integers(-10**300, -2**600))
-SIZES = ("small", "big", "small-first", "big-first")
-
-
-@st.composite
-def sized_term_maps(draw, size: str):
-    """A canonical quaternion term map whose first stored coefficient is big or small as ``size`` says."""
-    keys = draw(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 1)), min_size=1, max_size=4, unique=True))
-    terms = {}
-    for i, key in enumerate(keys):
-        big = {"small": False, "big": True, "small-first": i > 0, "big-first": i == 0}[size]
-        nums = [draw(small_nums) for _ in range(4)]
-        nums[draw(st.integers(0, 3))] = draw(big_nums if big else small_nums.filter(bool))
-        terms[key] = _canon((*nums, draw(st.integers(1, 10**12))))
-    assert _is_big(terms) == (size in ("big", "big-first"))
-    return terms
-
-
-@given(data=st.data())
-def test_qmul_on_both_sides_of_the_threshold(data):
-    p = data.draw(sized_term_maps(data.draw(st.sampled_from(SIZES))))
-    q = data.draw(sized_term_maps(data.draw(st.sampled_from(SIZES))))
-    product = reference_mul(QPolyUV._raw(p).terms, QPolyUV._raw(q).terms)
-    # acc is absent, free, equal to the product (so acc - p*q cancels to zero),
-    # or shares some of its terms with it.
-    shape = data.draw(st.sampled_from(["none", "free", "whole", "part"]))
-    acc_terms = {} if shape == "none" else QPolyUV._raw(data.draw(sized_term_maps("small"))).terms
-    if shape == "whole":
-        acc_terms = dict(product)
-    elif shape == "part" and product:
-        for key in data.draw(st.lists(st.sampled_from(sorted(product)), unique=True)):
-            acc_terms[key] = product[key]
-    acc = None if shape == "none" else QPolyUV(acc_terms)._ints
-    for sign in (1, -1):
-        result = QPolyUV._raw(_qmul(p, q, acc, sign))
-        expected = reference_add(acc_terms, product if sign > 0 else reference_neg(product))
-        assert result.terms == expected
-        assert_canonical(result)
 
 
 # endregion

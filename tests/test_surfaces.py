@@ -211,12 +211,17 @@ def test_circles_reject_float_coordinates():
         lambda: render_decimal(0.1, 3),
         lambda: export_csv([[(Fraction(1), 0.5, Fraction(0))]]),
         lambda: export_obj([[(Fraction(1), 0.5, Fraction(0))]]),
+        lambda: render_decimal(Fraction(1, 3), 0.0),
+        lambda: export_csv([[None]], 0.0),
+        lambda: export_obj([[None]], 1e3),
     ],
     ids=["sparse-eval", "u-eval", "rpoly-div", "circle-point", "coordinate-curve", "stereo",
-         "stereo-inv", "quartic-value", "quadric-value", "render-decimal", "export-csv", "export-obj"],
+         "stereo-inv", "quartic-value", "quadric-value", "render-decimal", "export-csv", "export-obj",
+         "render-decimal-digits", "export-csv-digits", "export-obj-digits"],
 )
 def test_float_arguments_are_rejected(call):
     # 0.1 is not exact; it would silently become 3602879701896397/36028797018963968.
+    # A float digit count is rejected too, before it renders in floats or overflows.
     with pytest.raises(TypeError):
         call()
 

@@ -42,7 +42,8 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .errors import DegreeTooHigh, InvalidInput
-from .quat import Quaternion, _canon, _coerce as _coerce_rational, _inverse, _json_object, _neg, _operand, _quat_json
+from .quat import Quaternion, _canon, _coerce as _coerce_rational, _int_repr, _inverse, _json_object, _neg, _operand
+from .quat import _quat_json
 from .quat import _product, _ratio_to_str, _sum, rational_from_str
 
 _Q_ZERO = Quaternion.zero()
@@ -187,8 +188,9 @@ class _SparseUV:
     ``_to_ints`` turns an accepted scalar into a tuple (raising ``TypeError``
     otherwise), ``_value`` turns a tuple back into a value, ``_scalars``
     lists the scalar types that arithmetic promotes to constants, ``_zero``
-    is the zero coefficient, and ``_encode`` (from a tuple) and ``_decode``
-    (to a value) are the coefficient JSON codec.  Every ring multiplies
+    is the zero coefficient, ``_repr`` writes a tuple for ``repr`` and never
+    fails, and ``_encode`` (from a tuple) and ``_decode`` (to a value) are
+    the coefficient JSON codec.  Every ring multiplies
     through ``_qmul``.  Each subclass binds ``__mul__``, ``__rmul__`` and any
     ``from_json`` in its own body, because ``bench/tracer.py`` wraps them
     from the subclass's own ``__dict__``.
@@ -285,7 +287,7 @@ class _SparseUV:
         return hash(frozenset(self._ints.items()))
 
     def __repr__(self) -> str:
-        body = ", ".join(f"({du},{dv}): {self._value(c)!r}" for (du, dv), c in sorted(self._ints.items()))
+        body = ", ".join(f"({du},{dv}): {self._repr(c)}" for (du, dv), c in sorted(self._ints.items()))
         return f"{type(self).__name__}({{{body}}})"
 
     def _plus(self, other, sign: int):
@@ -368,6 +370,7 @@ class QPolyUV(_SparseUV):
     _value = staticmethod(Quaternion._raw)
     _scalars = (Quaternion, int, Fraction)
     _zero = _Q_ZERO
+    _repr = staticmethod(lambda t: repr(Quaternion._raw(t)))
     _encode = staticmethod(_quat_json)
     _decode = staticmethod(Quaternion.from_json)
     __mul__ = _SparseUV.__mul__
@@ -452,6 +455,7 @@ class QPolyU(_SparseUV):
     _value = staticmethod(Quaternion._raw)
     _scalars = QPolyUV._scalars
     _zero = _Q_ZERO
+    _repr = staticmethod(QPolyUV._repr)
     _encode = staticmethod(_quat_json)
     __mul__ = _SparseUV.__mul__
     __rmul__ = _SparseUV.__rmul__
@@ -543,6 +547,7 @@ class RPolyUV(_SparseUV):
     _value = staticmethod(lambda t: Fraction(t[0], t[4]))
     _scalars = (int, Fraction)
     _zero = _ZERO_FR
+    _repr = staticmethod(lambda t: f"Fraction({_int_repr(t[0])}, {_int_repr(t[4])})")
     _encode = staticmethod(lambda t: _ratio_to_str(t[0], t[4]))
     _decode = staticmethod(rational_from_str)
     __mul__ = _SparseUV.__mul__

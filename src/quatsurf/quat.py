@@ -44,6 +44,19 @@ def _ratio_to_str(n: int, d: int) -> str:
         raise InvalidInput("a rational has too many digits to print") from None
 
 
+def _int_repr(n: int) -> str:
+    """``str(n)``, or ``hex(n)`` past the interpreter's int-to-str digit limit, which hex does not have."""
+    try:
+        return str(n)
+    except ValueError:
+        return hex(n)
+
+
+def _ratio_repr(n: int, d: int) -> str:
+    """:func:`_ratio_to_str` for ``repr``, which never fails: a part past the digit limit is written in hex."""
+    return _int_repr(n) if d == 1 else f"{_int_repr(n)}/{_int_repr(d)}"
+
+
 def rational_from_str(text: str) -> Fraction:
     """Parse a ``p/q`` or ``p`` literal; ``p`` may be a decimal with an exponent.
 
@@ -169,10 +182,13 @@ def _inverse(t: tuple) -> tuple:
     return _canon((w * d, -x * d, -y * d, -z * d, n))
 
 
-def _quat_json(t: tuple) -> list[str]:
-    """The JSON of the quaternion ``t``, or of any tuple ``(n_1, ..., n_k, d)`` with ``d > 0``: each ``n_i/d`` in lowest terms."""
+def _quat_json(t: tuple, render=_ratio_to_str) -> list[str]:
+    """The JSON of the quaternion ``t``, or of any tuple ``(n_1, ..., n_k, d)`` with ``d > 0``: each ``n_i/d`` in lowest terms.
+
+    ``render`` writes one part from its numerator and denominator.
+    """
     d = t[-1]
-    return [_ratio_to_str(n // (g := gcd(n, d)), d // g) for n in t[:-1]]
+    return [render(n // (g := gcd(n, d)), d // g) for n in t[:-1]]
 
 
 # endregion
@@ -248,7 +264,7 @@ class Quaternion:
         return hash(self.w) if self.is_real else hash(self.components())
 
     def __repr__(self) -> str:
-        return f"Quaternion({', '.join(_quat_json(self._t))})"
+        return f"Quaternion({', '.join(_quat_json(self._t, _ratio_repr))})"
 
     # endregion
 

@@ -117,6 +117,12 @@ def test_repr_is_sparse():
     assert repr(QPolyU.monomial(1, 10**6)) == "QPolyU({(1000000,0): Quaternion(1, 0, 0, 0)})"
 
 
+def test_repr_writes_coefficients_past_the_digit_limit_in_hex():
+    big = 10**5000
+    assert repr(QPolyU.monomial(big, 1)) == f"QPolyU({{(1,0): Quaternion({hex(big)}, 0, 0, 0)}})"
+    assert repr(RPolyUV({(0, 1): Fraction(-1, big)})) == f"RPolyUV({{(0,1): Fraction(-1, {hex(big)})}})"
+
+
 def test_mul_by_zero():
     rng = random.Random(1)
     for _ in range(10):

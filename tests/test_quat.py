@@ -238,4 +238,13 @@ def test_json_shape():
         Quaternion.from_json(["1", "2", "3"])
 
 
+def test_repr_writes_parts_past_the_digit_limit_in_hex():
+    # to_json refuses a part with more digits than str() prints; repr must not.
+    big = 10**5000
+    q = Quaternion(Fraction(1, big), big)
+    assert repr(q) == f"Quaternion(1/{hex(big)}, {hex(big)}, 0, 0)"
+    with pytest.raises(InvalidInput):
+        q.to_json()
+
+
 # endregion

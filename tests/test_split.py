@@ -4,12 +4,14 @@ import hashlib
 import importlib
 import json
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from quatsurf import (
+    InvalidInput,
     Mat2,
     NoProgress,
     NotDegenerate,
@@ -29,7 +31,7 @@ from quatsurf import (
     swap_rows,
 )
 from quatsurf.qmat import _CT, _SC, _SR, _move
-from quatsurf.qpoly import _from_v_slices, v_slices
+from quatsurf.qpoly import v_slices
 from quatsurf.quat import I, J, K, ONE
 from quatsurf.split import _measure, _step
 
@@ -82,11 +84,12 @@ def test_constant_pythagorean_matrix():
 
 
 # Raw (un-normalized) split certificates, frozen, with their normalized
-# forms.  Each reduction takes a conjugate transpose, so a symmetry search
-# that ranks, derives or applies the symmetries differently changes the raw
-# factors.  The raw forms follow the monic-column reduction (each new first
-# column is made monic); the normalized forms are the ones every earlier
-# reduction path gave too.
+# forms.  Each reduction of the slopes takes a conjugate transpose, so a
+# symmetry search that ranks, derives or applies the symmetries differently
+# changes the raw factors.  In all three x is free of v and comes out of the
+# slopes' certificate as its monic right primitive part, so here the raw
+# forms equal the normalized ones; the normalized forms are the ones every
+# earlier reduction path gave too.
 _FROZEN_SPLITS = [
     (
         kron(Vec2(ONE_P, U), Vec2(V * I + U, V * J)),
@@ -102,8 +105,8 @@ _FROZEN_SPLITS = [
     (
         kron(Vec2(U * const(1, 1), U * I), Vec2(U * K + U * V * const(1, 1), V * const(1, 0, -1))),
         {
-            "x": [[{"u": 0, "v": 0, "c": ["1", "-1", "0", "0"]}], [{"u": 0, "v": 0, "c": ["1", "0", "0", "0"]}]],
-            "y": [[{"u": 2, "v": 0, "c": ["0", "0", "-1", "0"]}, {"u": 2, "v": 1, "c": ["-1", "1", "0", "0"]}], [{"u": 1, "v": 1, "c": ["0", "1", "0", "-1"]}]],
+            "x": [[{"u": 0, "v": 0, "c": ["1", "0", "0", "0"]}], [{"u": 0, "v": 0, "c": ["1/2", "1/2", "0", "0"]}]],
+            "y": [[{"u": 2, "v": 0, "c": ["0", "0", "-1", "1"]}, {"u": 2, "v": 1, "c": ["0", "2", "0", "0"]}], [{"u": 1, "v": 1, "c": ["1", "1", "-1", "-1"]}]],
         },
         {
             "x": [[{"u": 0, "v": 0, "c": ["1", "0", "0", "0"]}], [{"u": 0, "v": 0, "c": ["1/2", "1/2", "0", "0"]}]],
@@ -113,8 +116,8 @@ _FROZEN_SPLITS = [
     (
         kron(Vec2(U * J, ONE_P + U * const(1, 0, -1)), Vec2(const(1, 1) + U * 2, ONE_P + V * const(1, 1))),
         {
-            "x": [[{"u": 1, "v": 0, "c": ["0", "0", "1", "-1"]}], [{"u": 0, "v": 0, "c": ["1", "1", "0", "0"]}, {"u": 1, "v": 0, "c": ["1", "1", "-1", "1"]}]],
-            "y": [[{"u": 0, "v": 0, "c": ["1", "0", "0", "0"]}, {"u": 1, "v": 0, "c": ["1", "-1", "0", "0"]}], [{"u": 0, "v": 0, "c": ["1/2", "-1/2", "0", "0"]}, {"u": 0, "v": 1, "c": ["1", "0", "0", "0"]}]],
+            "x": [[{"u": 1, "v": 0, "c": ["1", "0", "0", "0"]}], [{"u": 0, "v": 0, "c": ["0", "0", "-1", "0"]}, {"u": 1, "v": 0, "c": ["-1", "0", "-1", "0"]}]],
+            "y": [[{"u": 0, "v": 0, "c": ["0", "0", "1", "-1"]}, {"u": 1, "v": 0, "c": ["0", "0", "2", "0"]}], [{"u": 0, "v": 0, "c": ["0", "0", "1", "0"]}, {"u": 0, "v": 1, "c": ["0", "0", "1", "-1"]}]],
         },
         {
             "x": [[{"u": 1, "v": 0, "c": ["1", "0", "0", "0"]}], [{"u": 0, "v": 0, "c": ["0", "0", "-1", "0"]}, {"u": 1, "v": 0, "c": ["-1", "0", "-1", "0"]}]],
@@ -154,8 +157,10 @@ def test_costly_shape_certificates_are_pinned():
 
 
 def test_costly_shape_raw_certificates_stay_small():
-    # With the monic column the raw certificates of these shapes hold
-    # integers of 78-100 bits; without it they reached 1316-1697 bits.
+    # Only the slopes are reduced, with monic columns, and x is their
+    # certificate's monic primitive part, so the raw certificates of these
+    # shapes hold integers of 85-100 bits.  Reducing whole entries without
+    # the monic column gave 1316-1697 bits.
     for m in _costly_shapes():
         cert = split(m)
         for e in (cert.x.e1, cert.x.e2, cert.y.e1, cert.y.e2):
@@ -175,17 +180,16 @@ def _slices(m: Mat2):
     return tuple(zip(*(v_slices(e) for e in m.entries())))
 
 
-def _assembled(slopes, consts) -> Mat2:
-    return Mat2(*map(_from_v_slices, slopes, consts))
+def _uv(drivers) -> Mat2:
+    return Mat2(*(d.to_uv() for d in drivers))
 
 
 def test_each_v_step_shrinks_the_measure_of_the_matrix():
-    # _step ranks symmetries on the drivers alone and carries all eight
-    # slices forward: assembled, they must equal the input with the returned
-    # moves replayed on it, and the slices that drove the step (the slopes
-    # while any is nonzero, then the v-free parts) must have a smaller measure.
-    # A certificate of the reduced matrix, with every move undone, must
-    # factor the input.
+    # _step runs on the drivers alone: the slopes while any is nonzero, else
+    # the v-free parts.  Replaying its moves on the drivers' matrix must give
+    # the drivers it returns, with a smaller measure, and a certificate of
+    # the reduced drivers, with every move undone, must factor the drivers'
+    # matrix.
     rng = random.Random(39)
     v_free_steps = 0
     for i in range(80):
@@ -195,17 +199,20 @@ def test_each_v_step_shrinks_the_measure_of_the_matrix():
             m = kron(rand_vec2(rng, 1, 1), rand_vec2(rng, 2, 0))
         else:
             m = kron(rand_vec2(rng, 2, 0), rand_vec2(rng, 1, 1))
-        start, slices, replayed = m, _slices(m), []
-        while all(m.entries()):
-            drives = 0 if any(slices[0]) else 1
-            before = _measure(slices[drives])
-            moves, *slices = _step(*slices)
-            m = _replayed(m, moves)
+        slopes, consts = _slices(m)
+        drives = 0 if any(slopes) else 1
+        drivers = consts if drives else slopes
+        start = cur = _uv(drivers)
+        replayed = []
+        while all(drivers):
+            before = _measure(drivers)
+            moves, drivers = _step(drivers)
+            cur = _replayed(cur, moves)
             replayed += moves
-            assert _assembled(*slices) == m
-            assert _measure(slices[drives]) < before
+            assert _uv(drivers) == cur
+            assert _measure(drivers) < before
             v_free_steps += drives
-        cert = split(m)
+        cert = split(cur)
         x, y = (cert.x.e1, cert.x.e2), (cert.y.e1, cert.y.e2)
         for move in reversed(replayed):
             x, y = _undo_on_factors(x, y, move)
@@ -214,8 +221,8 @@ def test_each_v_step_shrinks_the_measure_of_the_matrix():
 
 
 def test_v_slopes_follow_their_entries_under_each_move():
-    # _step moves only the drivers while it ranks the symmetries, and the
-    # other four slices by the same steps once it accepts one.
+    # The moves of a reduction on the slopes alone are moves of the matrix:
+    # each symmetry takes the slopes to the slopes of the moved matrix.
     rng = random.Random(40)
     for _ in range(40):
         m = Mat2(*(rand_qpolyuv(rng, 2, 1) for _ in range(4)))
@@ -267,6 +274,36 @@ def test_split_matches_the_two_case_reduction(matrices):
     # NotDegenerate on both.
     for m in matrices:
         assert _outcome(split, m) == _outcome(reference_split, m)
+
+
+_P = ONE_P + V
+_G = ONE_P + U * I
+_X, _Y = Vec2(ONE_P, U), Vec2(U + V * J, ONE_P + V)
+_RIGHT_FACTOR = kron(Vec2(_X.e1 * _G, _X.e2 * _G), _Y)
+_Y_EXTREMES = Vec2(V + 1 + U * U, V + 1 + U + U * U)
+
+
+@pytest.mark.parametrize(
+    "m, x, y",
+    [
+        # A v-dependent middle factor of x0*p*y0 ends in x.
+        (Mat2(_P, _P, _P, _P), Vec2(_P, _P), Vec2(ONE_P, ONE_P)),
+        # A v-free common right factor of a v-free x ends in y ...
+        (_RIGHT_FACTOR, _X, Vec2(_G * _Y.e1, _G * _Y.e2)),
+        # ... and, after the conjugate transpose, in the v-dependent x.
+        (conj_transpose(_RIGHT_FACTOR), Vec2(_Y.e1.conj() * _G.conj(), _Y.e2.conj() * _G.conj()), _X.conj()),
+        # Each row's slopes and v-free parts agree with a rank-one row on
+        # their extreme terms, so the y side is tried; its product differs,
+        # and the x side factors the matrix.
+        (kron(_X, _Y_EXTREMES), _X, _Y_EXTREMES),
+    ],
+    ids=["middle-factor-in-x", "right-factor-in-y", "conjugate-in-x", "y-side-fails"],
+)
+def test_where_a_common_factor_ends(m, x, y):
+    expected = split_normalize(SplitCertificate(x, y))
+    assert kron(x, y) == m
+    assert split_normalize(split(m)) == expected
+    assert split_normalize(reference_split(m)) == expected
 
 
 @st.composite
@@ -361,22 +398,24 @@ def test_full_rank_degenerate_at_the_origin_goes_through_the_fallback(monkeypatc
 @pytest.mark.parametrize(
     "m, phase, cap",
     [
-        (kron(Vec2(ONE_P + V * I, U + 2), Vec2(ONE_P + U * U * J, U + 3)), "v-dependence", 64),
+        (kron(Vec2(ONE_P + V * I, U + 2 + V * K), Vec2(ONE_P + U * U * J, U + 3)), "v-dependence", 64),
         (kron(Vec2(ONE_P + U * K, const(2)), Vec2(U, ONE_P + U)), "v-free", 48),
     ],
     ids=["v-dependent", "v-free"],
 )
 def test_step_caps_fire_and_name_their_phase(monkeypatch, m, phase, cap):
-    # A stalled step keeps every entry nonzero, so only the cap of the phase
-    # the matrix starts in, (1 + max deg_u) * 16 steps, ends the loop.
+    # A stalled step keeps every driver nonzero, so only the cap of the
+    # reduction the matrix needs, (1 + max deg_u) * 16 steps, ends the loop:
+    # on the slopes when the matrix depends on v, else on the v-free parts.
     calls = []
 
-    def stalled(slopes, consts):
+    def stalled(drivers):
         calls.append(None)
-        return [], slopes, consts
+        return [], drivers
 
     monkeypatch.setattr(SPLIT_MODULE, "_step", stalled)
-    assert all(m.entries())
+    slopes, consts = _slices(m)
+    assert all(slopes if any(slopes) else consts)
     message = rf"^{phase} reduction exceeded its step cap$"
     with pytest.raises(NoProgress, match=message):
         SPLIT_MODULE._reduce(m)
@@ -546,6 +585,18 @@ def test_certificate_json_round_trip():
         cert = SplitCertificate(rand_vec2(rng), rand_vec2(rng))
         again = SplitCertificate.from_json(cert.to_json())
         assert again.x == cert.x and again.y == cert.y
+
+
+def test_repr_of_a_certificate_past_the_digit_limit():
+    # The raw certificate of this matrix holds 10**4500, more digits than
+    # str() prints: to_json refuses it, and repr writes it in hex.
+    small, big = QPolyUV.const(Fraction("1e-2500")), QPolyUV.const(Fraction("1e2000"))
+    cert = split(Mat2(small, big, small, big))
+    with pytest.raises(InvalidInput):
+        cert.to_json()
+    text = repr(cert)
+    assert text.startswith("SplitCertificate(x=Vec2(e1=QPolyUV({(0,0): Quaternion(")
+    assert hex(10**4500) in text
 
 
 # endregion

@@ -37,9 +37,11 @@ class NotDegenerate(QuatsurfError):
 
 
 class NoProgress(QuatsurfError):
-    """The splitting reduction stalled; no admissible step shrinks the measure.
+    """Splitting a degenerate matrix found no certificate that reproduces it.
 
-    Also raised when a step cap is hit or the certificate fails verification.
+    Not expected for valid input: it means no factor pair read off the
+    matrix passed the final product check, or a zero entry had both
+    neighbors nonzero in a matrix the extreme-term check let through.
     """
 
 

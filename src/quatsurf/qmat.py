@@ -104,7 +104,7 @@ def col_op(m: Mat2, x: QPolyUV) -> Mat2:
     return Mat2(m.m11._add_mul(m.m12, x, -1), m.m12, m.m21._add_mul(m.m22, x, -1), m.m22)
 
 
-# The three basic symmetries, by the names split records them under.
+# The three basic symmetries, by name: row swap, column swap, conjugate transpose.
 _SR = "sr"
 _SC = "sc"
 _CT = "ct"
@@ -113,6 +113,7 @@ _CT = "ct"
 def _move(four, op: str):
     """Four entries, or their v-slopes, after the basic symmetry ``op``.
 
+    The three public moves below are this permutation of a matrix's entries.
     v is central and conjugation acts coefficientwise, so each v-slope follows
     its entry: the same permutation, conjugating for ``_CT``, moves both.
     """

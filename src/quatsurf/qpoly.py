@@ -5,7 +5,7 @@ Three classes share one sparse core, ``_SparseUV``:
 * :class:`QPolyUV` is a bivariate polynomial; u and v commute with every
   coefficient, so only coefficient order matters in products.
 * :class:`QPolyU` is its v-free case, with the degree, leading coefficient
-  and two-sided division that the reduction loops need.
+  and two-sided division that split's Euclid runs and quotients need.
 * :class:`RPolyUV` restricts coefficients to rationals.  Real polynomials are
   central in the quaternionic ring, which several identities below rely on.
 

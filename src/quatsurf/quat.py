@@ -57,6 +57,16 @@ def _ratio_repr(n: int, d: int) -> str:
     return _int_repr(n) if d == 1 else f"{_int_repr(n)}/{_int_repr(d)}"
 
 
+def _field_repr(value) -> str:
+    """``repr(value)``, with each ``Fraction``, also inside tuples, written by :func:`_int_repr`."""
+    if isinstance(value, Fraction):
+        return f"Fraction({_int_repr(value.numerator)}, {_int_repr(value.denominator)})"
+    if isinstance(value, tuple):
+        parts = [_field_repr(e) for e in value]
+        return f"({parts[0]},)" if len(parts) == 1 else f"({', '.join(parts)})"
+    return repr(value)
+
+
 def rational_from_str(text: str) -> Fraction:
     """Parse a ``p/q`` or ``p`` literal; ``p`` may be a decimal with an exponent.
 
@@ -376,7 +386,7 @@ class _Value:
         return hash(self._key(self))
 
     def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
+        fields = ", ".join(f"{name}={_field_repr(getattr(self, name))}" for name in self.__match_args__)
         return f"{type(self).__qualname__}({fields})"
 
     def __setattr__(self, name, value):

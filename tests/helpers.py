@@ -658,8 +658,8 @@ class ReferenceQuaternion:
 # search run on the entries: a v-free game that moves the least-degree entry
 # to 22 by position, a v-bound game that searches the eight symmetries, and
 # a zero case that swaps a zero to 22, with no monic columns.  Kept as an
-# oracle for the normalized certificates; _apply_move and _undo_on_factors
-# also replay split's scaled column move.
+# oracle for the normalized certificates; its eight symmetries also serve
+# the test that those certificates do not depend on the path.
 
 # Basic moves recorded while reducing; replayed backwards over the factors.
 _SR = "sr"
@@ -705,13 +705,7 @@ def _apply_move(m: Mat2, move) -> Mat2:
         return swap_cols(m)
     if kind == _CT:
         return conj_transpose(m)
-    m = col_op(m, move[1])
-    if len(move) > 2:
-        # split's scaled column move (_CO, q, c): the new first column is
-        # right-multiplied by the inverse of c.
-        inv = move[2].inverse()
-        m = Mat2(m.m11 * inv, m.m12, m.m21 * inv, m.m22)
-    return m
+    return col_op(m, move[1])
 
 
 def _undo_on_factors(x: tuple[QPolyUV, QPolyUV], y: tuple[QPolyUV, QPolyUV], move):
@@ -722,9 +716,7 @@ def _undo_on_factors(x: tuple[QPolyUV, QPolyUV], y: tuple[QPolyUV, QPolyUV], mov
         return x, (y[1], y[0])
     if kind == _CT:
         return (y[0].conj(), y[1].conj()), (x[0].conj(), x[1].conj())
-    # (_CO, q) from the reference, or split's scaled column move (_CO, q, c).
-    q, c = move[1], move[2] if len(move) > 2 else 1
-    return x, (y[0] * c + y[1] * q, y[1])
+    return x, (y[0] + y[1] * move[1], y[1])
 
 
 def _slopes(m: Mat2) -> tuple[QPolyU, QPolyU, QPolyU, QPolyU]:

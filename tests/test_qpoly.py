@@ -92,6 +92,28 @@ def test_no_float_in_the_package(path):
     assert not found, found
 
 
+@pytest.mark.parametrize(
+    "path",
+    sorted(p for p in Path(quatsurf.__file__).parent.glob("*.py") if p.name != "__init__.py"),
+    ids=lambda path: path.name,
+)
+def test_no_unused_import_in_the_package(path):
+    # A name bound by an import must be read somewhere in the module's code;
+    # __init__.py is left out, since it imports to re-export.
+    tree = ast.parse(path.read_text(), filename=str(path))
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    unused = sorted(f"line {line}: {name}" for name, line in imported.items() if name not in used)
+    assert not unused, unused
+
+
 def test_trailing_zeros_trimmed():
     assert QPolyU([ONE, Quaternion.zero()]) == QPolyU([ONE])
     assert QPolyU([Quaternion.zero()]).is_zero

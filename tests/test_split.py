@@ -33,9 +33,8 @@ from quatsurf import (
 from quatsurf.qmat import _CT, _SC, _SR, _move
 from quatsurf.qpoly import v_slices
 from quatsurf.quat import I, J, K, ONE
-from quatsurf.split import _measure, _step
 
-from helpers import _apply_move, _undo_on_factors, rand_nonzero_qpolyuv, rand_nonzero_quat, rand_qpolyuv, rand_vec2, reference_split
+from helpers import _SYMMETRIES, _undo_on_factors, rand_nonzero_qpolyuv, rand_nonzero_quat, rand_qpolyuv, rand_vec2, reference_split
 
 U = QPolyUV.var_u()
 V = QPolyUV.var_v()
@@ -84,12 +83,10 @@ def test_constant_pythagorean_matrix():
 
 
 # Raw (un-normalized) split certificates, frozen, with their normalized
-# forms.  Each reduction of the slopes takes a conjugate transpose, so a
-# symmetry search that ranks, derives or applies the symmetries differently
-# changes the raw factors.  In all three x is free of v and comes out of the
-# slopes' certificate as its monic right primitive part, so here the raw
-# forms equal the normalized ones; the normalized forms are the ones every
-# earlier reduction path gave too.
+# forms.  The ids name the paths an earlier reduction of the slopes took.  In
+# all three x is free of v and is read off a slope column as its monic right
+# primitive part, so here the raw forms equal the normalized ones; the
+# normalized forms are the ones every earlier reduction path gave too.
 _FROZEN_SPLITS = [
     (
         kron(Vec2(ONE_P, U), Vec2(V * I + U, V * J)),
@@ -157,10 +154,9 @@ def test_costly_shape_certificates_are_pinned():
 
 
 def test_costly_shape_raw_certificates_stay_small():
-    # Only the slopes are reduced, with monic columns, and x is their
-    # certificate's monic primitive part, so the raw certificates of these
-    # shapes hold integers of 85-100 bits.  Reducing whole entries without
-    # the monic column gave 1316-1697 bits.
+    # x is the monic right primitive part of a slope column, found by Euclid
+    # with monic remainders, so the raw certificates of these shapes hold
+    # integers of at most 128 bits.
     for m in _costly_shapes():
         cert = split(m)
         for e in (cert.x.e1, cert.x.e2, cert.y.e1, cert.y.e2):
@@ -169,55 +165,9 @@ def test_costly_shape_raw_certificates_stay_small():
                     assert max(r.numerator.bit_length(), r.denominator.bit_length()) <= 128
 
 
-def _replayed(m: Mat2, moves) -> Mat2:
-    for move in moves:
-        m = _apply_move(m, move)
-    return m
-
-
 def _slices(m: Mat2):
     """The four v-slopes and the four v-free parts of ``m``'s entries."""
     return tuple(zip(*(v_slices(e) for e in m.entries())))
-
-
-def _uv(drivers) -> Mat2:
-    return Mat2(*(d.to_uv() for d in drivers))
-
-
-def test_each_v_step_shrinks_the_measure_of_the_matrix():
-    # _step runs on the drivers alone: the slopes while any is nonzero, else
-    # the v-free parts.  Replaying its moves on the drivers' matrix must give
-    # the drivers it returns, with a smaller measure, and a certificate of
-    # the reduced drivers, with every move undone, must factor the drivers'
-    # matrix.
-    rng = random.Random(39)
-    v_free_steps = 0
-    for i in range(80):
-        if i >= 40:
-            m = kron(rand_vec2(rng, 2, 0), rand_vec2(rng, 2, 0))
-        elif rng.random() < 0.5:
-            m = kron(rand_vec2(rng, 1, 1), rand_vec2(rng, 2, 0))
-        else:
-            m = kron(rand_vec2(rng, 2, 0), rand_vec2(rng, 1, 1))
-        slopes, consts = _slices(m)
-        drives = 0 if any(slopes) else 1
-        drivers = consts if drives else slopes
-        start = cur = _uv(drivers)
-        replayed = []
-        while all(drivers):
-            before = _measure(drivers)
-            moves, drivers = _step(drivers)
-            cur = _replayed(cur, moves)
-            replayed += moves
-            assert _uv(drivers) == cur
-            assert _measure(drivers) < before
-            v_free_steps += drives
-        cert = split(cur)
-        x, y = (cert.x.e1, cert.x.e2), (cert.y.e1, cert.y.e2)
-        for move in reversed(replayed):
-            x, y = _undo_on_factors(x, y, move)
-        assert kron(Vec2(*x), Vec2(*y)) == start
-    assert v_free_steps > 40
 
 
 def test_v_slopes_follow_their_entries_under_each_move():
@@ -233,12 +183,16 @@ def test_v_slopes_follow_their_entries_under_each_move():
 
 @st.composite
 def split_cases(draw):
-    """v-free and v-linear products, products with zeroed factor slots, all
-    sixteen support patterns of one polynomial, or full-rank matrices: a
-    product of nonzero factors plus a nonzero constant in one slot, and the
-    swap matrix."""
+    """v-free and v-linear products, v-free products ``kron(x*g, h*y)`` with
+    common factors, products with zeroed factor slots, all sixteen support
+    patterns of one polynomial, or full-rank matrices: a product of nonzero
+    factors plus a nonzero constant in one slot, and the swap matrix."""
     rng = draw(st.randoms(use_true_random=False))
-    kind = draw(st.sampled_from(["v-free", "v-linear", "zero-slots", "support", "full-rank"]))
+    kind = draw(st.sampled_from(["v-free", "v-free-common", "v-linear", "zero-slots", "support", "full-rank"]))
+    if kind == "v-free-common":
+        x, y = rand_vec2(rng, 2, 0), rand_vec2(rng, 2, 0)
+        g, h = rand_nonzero_qpolyuv(rng, 1, 0), rand_nonzero_qpolyuv(rng, 1, 0)
+        return [kron(Vec2(x.e1 * g, x.e2 * g), Vec2(h * y.e1, h * y.e2))]
     if kind == "support":
         p = rand_nonzero_qpolyuv(rng, 2, 1)
         return [Mat2(*(p if mask >> i & 1 else ZERO for i in range(4))) for mask in range(16)]
@@ -281,6 +235,8 @@ _G = ONE_P + U * I
 _X, _Y = Vec2(ONE_P, U), Vec2(U + V * J, ONE_P + V)
 _RIGHT_FACTOR = kron(Vec2(_X.e1 * _G, _X.e2 * _G), _Y)
 _Y_EXTREMES = Vec2(V + 1 + U * U, V + 1 + U + U * U)
+_H = ONE_P + U * J
+_Y0 = Vec2(ONE_P + U * K, U)
 
 
 @pytest.mark.parametrize(
@@ -296,8 +252,13 @@ _Y_EXTREMES = Vec2(V + 1 + U * U, V + 1 + U + U * U)
         # their extreme terms, so the y side is tried; its product differs,
         # and the x side factors the matrix.
         (kron(_X, _Y_EXTREMES), _X, _Y_EXTREMES),
+        # In a v-free matrix with no zero entry y is read off a row as a
+        # primitive part, so a common right factor of x stays in x ...
+        (kron(Vec2(_X.e1 * _G, _X.e2 * _G), _Y0), Vec2(_X.e1 * _G, _X.e2 * _G), _Y0),
+        # ... and a common left factor of y moves to x.
+        (kron(_X, Vec2(_H * _Y0.e1, _H * _Y0.e2)), Vec2(_X.e1 * _H, _X.e2 * _H), _Y0),
     ],
-    ids=["middle-factor-in-x", "right-factor-in-y", "conjugate-in-x", "y-side-fails"],
+    ids=["middle-factor-in-x", "right-factor-in-y", "conjugate-in-x", "y-side-fails", "v-free-right-factor-in-x", "v-free-left-factor-in-x"],
 )
 def test_where_a_common_factor_ends(m, x, y):
     expected = split_normalize(SplitCertificate(x, y))
@@ -330,7 +291,7 @@ def test_normalized_certificate_does_not_depend_on_the_path(m):
     # certificate back through S's moves gives the certificate of m that
     # split_normalize returns: the normalized form is path-independent.
     expected = split_normalize(split(m))
-    for sym in SPLIT_MODULE._SYMMETRIES:
+    for sym in _SYMMETRIES:
         moved = m.entries()
         for op in sym:
             moved = _move(moved, op)
@@ -395,33 +356,12 @@ def test_full_rank_degenerate_at_the_origin_goes_through_the_fallback(monkeypatc
     assert info.value.witness == "identity"
 
 
-@pytest.mark.parametrize(
-    "m, phase, cap",
-    [
-        (kron(Vec2(ONE_P + V * I, U + 2 + V * K), Vec2(ONE_P + U * U * J, U + 3)), "v-dependence", 64),
-        (kron(Vec2(ONE_P + U * K, const(2)), Vec2(U, ONE_P + U)), "v-free", 48),
-    ],
-    ids=["v-dependent", "v-free"],
-)
-def test_step_caps_fire_and_name_their_phase(monkeypatch, m, phase, cap):
-    # A stalled step keeps every driver nonzero, so only the cap of the
-    # reduction the matrix needs, (1 + max deg_u) * 16 steps, ends the loop:
-    # on the slopes when the matrix depends on v, else on the v-free parts.
-    calls = []
-
-    def stalled(drivers):
-        calls.append(None)
-        return [], drivers
-
-    monkeypatch.setattr(SPLIT_MODULE, "_step", stalled)
-    slopes, consts = _slices(m)
-    assert all(slopes if any(slopes) else consts)
-    message = rf"^{phase} reduction exceeded its step cap$"
-    with pytest.raises(NoProgress, match=message):
-        SPLIT_MODULE._reduce(m)
-    assert len(calls) == cap
-    # The whole-matrix test finds the product degenerate, so split re-raises the stall.
-    with pytest.raises(NoProgress, match=message):
+def test_a_failed_candidate_on_a_degenerate_matrix_is_no_progress(monkeypatch):
+    # The whole-matrix test finds the product degenerate, so split re-raises
+    # the failure rather than calling the matrix full rank.
+    monkeypatch.setattr(SPLIT_MODULE, "_candidates", lambda drivers, slopes, consts: iter(()))
+    m = kron(Vec2(ONE_P + U * K, const(2)), Vec2(U, ONE_P + V))
+    with pytest.raises(NoProgress, match=r"^internal error: certificate failed verification$"):
         split(m)
 
 

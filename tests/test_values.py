@@ -131,6 +131,21 @@ def test_repr_text(name):
     assert repr(make()) == expected
 
 
+def test_repr_writes_fraction_fields_past_the_digit_limit_in_hex():
+    # str() refuses an int past the interpreter's digit limit; repr of a
+    # value whose tuples hold such a Fraction writes its parts in hex.
+    big = 10**5000
+    circle = Circle3((Fraction(big), 0, 0), (1, 0, 0), (0, 1, 0))
+    zeros = ", ".join(["Fraction(0, 1)"] * 2)
+    assert repr(circle) == (
+        f"Circle3(center=(Fraction({hex(big)}, 1), {zeros}), "
+        f"e1=(Fraction(1, 1), {zeros}), e2=(Fraction(0, 1), Fraction(1, 1), Fraction(0, 1)))"
+    )
+    quadric = _quadric(Fraction(1, big))
+    assert repr(quadric) == Q_REPR.replace("Fraction(3, 1)", f"Fraction(1, {hex(big)})")
+    assert repr(SurfaceSpec.family_d(quadric)).endswith(f"Fraction(1, {hex(big)})))))")
+
+
 @pytest.mark.parametrize("name", CASES)
 def test_match_args(name):
     value = CASES[name][0]()

@@ -104,38 +104,17 @@ def col_op(m: Mat2, x: QPolyUV) -> Mat2:
     return Mat2(m.m11._add_mul(m.m12, x, -1), m.m12, m.m21._add_mul(m.m22, x, -1), m.m22)
 
 
-# The three basic symmetries, by name: row swap, column swap, conjugate transpose.
-_SR = "sr"
-_SC = "sc"
-_CT = "ct"
-
-
-def _move(four, op: str):
-    """Four entries, or their v-slopes, after the basic symmetry ``op``.
-
-    The three public moves below are this permutation of a matrix's entries.
-    v is central and conjugation acts coefficientwise, so each v-slope follows
-    its entry: the same permutation, conjugating for ``_CT``, moves both.
-    """
-    s11, s12, s21, s22 = four
-    if op == _SR:
-        return (s21, s22, s11, s12)
-    if op == _SC:
-        return (s12, s11, s22, s21)
-    return (s11.conj(), s21.conj(), s12.conj(), s22.conj())
-
-
 def swap_rows(m: Mat2) -> Mat2:
-    return Mat2(*_move(m.entries(), _SR))
+    return Mat2(m.m21, m.m22, m.m11, m.m12)
 
 
 def swap_cols(m: Mat2) -> Mat2:
-    return Mat2(*_move(m.entries(), _SC))
+    return Mat2(m.m12, m.m11, m.m22, m.m21)
 
 
 def conj_transpose(m: Mat2) -> Mat2:
     """Transpose with coefficientwise conjugation; maps kron(x, y) to kron(conj(y), conj(x))."""
-    return Mat2(*_move(m.entries(), _CT))
+    return Mat2(m.m11.conj(), m.m21.conj(), m.m12.conj(), m.m22.conj())
 
 
 # endregion

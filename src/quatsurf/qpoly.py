@@ -20,8 +20,9 @@ products, conjugates and division steps run on these tuples, with a
 denominator per coefficient, never per polynomial; each output coefficient is
 canonicalized once.  A quaternion product takes 16 integer multiplications
 per term pair.
-Scaling by one quaternion on the right (``_scaled``) skips the accumulation:
-one Hamilton product per term, each canonicalized on its own.
+Scaling by one quaternion on either side (``_scaled``), and each quotient
+term of a division step, skip the accumulation: one Hamilton product per
+term, each canonicalized on its own.
 Two real kernels skip the quaternion product where a value is real:
 ``_norm`` forms ``p*conj(p)``, or a signed sum of such norms, from one dot
 product per unordered term pair, and ``_rqmul`` multiplies a real map into a
@@ -327,10 +328,12 @@ class _SparseUV:
         """``self + sign*(b*c)`` for polynomials of this type, in one fused pass."""
         return self._raw(_qmul(b._ints, c._ints, self._ints, sign))
 
-    def _scaled(self, c: Quaternion):
-        """``self*c`` for a nonzero quaternion ``c``: one Hamilton product per term, none accumulated."""
-        t = c._t
-        return self._raw({key: _product(a, t) for key, a in self._ints.items()})
+    def _scaled(self, c: Quaternion, left: bool = False):
+        """``self*c``, or ``c*self`` with ``left``, for a nonzero quaternion ``c``: one Hamilton product per term, none accumulated."""
+        t, ints = c._t, self._ints
+        if left:
+            return self._raw({key: _product(t, a) for key, a in ints.items()})
+        return self._raw({key: _product(a, t) for key, a in ints.items()})
 
     def eval(self, u0, v0):
         """Evaluate at a rational point."""
@@ -516,13 +519,13 @@ def _div_rem(a: QPolyU, b: QPolyU, left: bool) -> tuple[QPolyU, QPolyU]:
     if not b:
         raise ZeroDivisionError("polynomial division by zero")
     bt, db = b._ints, b.degree
-    inv = {(0, 0): _inverse(bt[(db, 0)])}
+    inv = _inverse(bt[(db, 0)])
     q: dict = {}
     r = a._ints
     while r and (top := max(r)[0]) >= db:
         # Subtract b*(c u^shift) or (c u^shift)*b; the top coefficient cancels exactly.
-        c = {(top - db, 0): r[(top, 0)]}
-        c = _qmul(inv, c) if left else _qmul(c, inv)
+        t = r[(top, 0)]
+        c = {(top - db, 0): _product(inv, t) if left else _product(t, inv)}
         q.update(c)
         r = _qmul(bt, c, r, -1) if left else _qmul(c, bt, r, -1)
     return QPolyU._raw(q), QPolyU._raw(r)

@@ -42,18 +42,21 @@ identity of :func:`is_degenerate`: the leading and trailing terms of
 ``c*conj(a)*b`` and ``N(a)*d`` are products of the entries' own extreme
 terms, so a full-rank matrix whose sides differ there, or whose zero entries
 settle the identity, is rejected before any factor is read.  Past that test
-the certificate is re-multiplied and compared with the input, and a rank-one
-product is degenerate, so a passing check certifies it.  A full-rank input
-whose extreme terms agree makes every candidate fail that check; only then
-does :func:`is_degenerate` run on the whole matrix, to tell
-:class:`NotDegenerate` from a failure on a degenerate matrix, which raises
-:class:`NoProgress` rather than returning an unverified certificate.
+each candidate is checked against the input.  Exact division with zero
+remainders has proved one row or column of its product already, so only the
+other two products are formed and compared; a matrix with a zero entry has
+all four compared.  A rank-one product is degenerate, so a passing check
+certifies it.  A full-rank input whose extreme terms agree makes every
+candidate fail that check; only then does :func:`is_degenerate` run on the
+whole matrix, to tell :class:`NotDegenerate` from a failure on a degenerate
+matrix, which raises :class:`NoProgress` rather than returning an unverified
+certificate.
 """
 
 from __future__ import annotations
 
 from .errors import NoProgress, NotDegenerate, PreconditionDegree
-from .qmat import Mat2, Vec2, _full_rank_witness, is_degenerate, kron
+from .qmat import Mat2, Vec2, _full_rank_witness, is_degenerate
 from .qpoly import _from_v_slices, left_div_rem, right_div_rem, v_slices
 from .quat import _json_object, _Value
 
@@ -113,22 +116,23 @@ def _primitive(pair: tuple, left: bool) -> tuple:
     while b:
         r = div(a, b)[1]
         if r:
-            inv = r.lead.inverse()
-            r = r._scaled(inv) if left else inv * r
+            r = r._scaled(r.lead.inverse(), left=not left)
         a, b = b, r
     if a.degree:
         pair = tuple(div(e, a)[0] for e in pair)
     inv = next(e for e in pair if e).lead.inverse()
-    return tuple(inv * e for e in pair) if left else tuple(e._scaled(inv) for e in pair)
+    return tuple(e._scaled(inv, left=left) for e in pair)
 
 
-def _cofactor(slopes, consts, known: tuple, left: bool) -> tuple | None:
-    """The factor that goes with the v-free factor ``known``, or None on a remainder.
+def _cofactor(slopes, consts, known: tuple, left: bool) -> tuple[tuple, int] | None:
+    """The factor that goes with the v-free factor ``known``, and the index ``k`` of the divisor; None on a remainder.
 
     With ``left``, ``known`` is x and ``y_j`` the left quotient of ``m_ij``
     by ``x_i``; otherwise ``known`` is y and ``x_i`` the right quotient of
-    ``m_ij`` by ``y_j``.  Only the least-degree nonzero entry of ``known``
-    divides; the caller's product check covers the other.
+    ``m_ij`` by ``y_j``.  Only the least-degree nonzero entry ``known[k]``
+    divides.  A zero remainder in both v-slices proves the products with it,
+    row k (with ``left``) or column k of ``kron(x, y)``, equal to ``m``; the
+    caller checks the other row or column.
     """
     div = left_div_rem if left else right_div_rem
     k = min((e.degree, k) for k, e in enumerate(known) if e)[1]
@@ -139,13 +143,14 @@ def _cofactor(slopes, consts, known: tuple, left: bool) -> tuple | None:
         if r1 or r0:
             return None
         factor.append(_from_v_slices(q1, q0))
-    return tuple(factor)
+    return tuple(factor), k
 
 
 def _candidates(drivers, slopes, consts):
     """Candidate factor pairs of a matrix with no zero entry, read off its drivers.
 
-    The y side comes first, and only when each row's
+    Each comes with the two positions ``(i, j)`` that division left
+    unproven.  The y side comes first, and only when each row's
     ``[[s_i1, s_i2], [c_i1, c_i2]]`` passes the extreme-term test of
     :func:`_full_rank_witness`, as a rank-one row ``kron((x1_i, x0_i), y)``
     does: y is the left-primitive part of the first nonzero driver row.
@@ -156,21 +161,24 @@ def _candidates(drivers, slopes, consts):
     rows = ((slopes[k], slopes[k + 1], consts[k], consts[k + 1]) for k in (0, 2))
     if all(_full_rank_witness(Mat2(*row)) is None for row in rows):
         y = _primitive(next(row for row in (drivers[:2], drivers[2:]) if any(row)), left=True)
-        x = _cofactor(slopes, consts, y, left=False)
-        if x:
-            yield x, tuple(e.to_uv() for e in y)
+        found = _cofactor(slopes, consts, y, left=False)
+        if found:
+            x, k = found
+            yield x, tuple(e.to_uv() for e in y), ((0, 1 - k), (1, 1 - k))
     x = _primitive(next(col for col in (drivers[::2], drivers[1::2]) if any(col)), left=False)
-    y = _cofactor(slopes, consts, x, left=True)
-    if y:
-        yield tuple(e.to_uv() for e in x), y
+    found = _cofactor(slopes, consts, x, left=True)
+    if found:
+        y, k = found
+        yield tuple(e.to_uv() for e in x), y, ((1 - k, 0), (1 - k, 1))
 
 
 def _reduce(m: Mat2) -> SplitCertificate:
     """Factor ``m``; the first candidate whose product is ``m`` is returned.
 
-    A matrix with a zero entry is read off by :func:`_factor_with_zero`,
-    any other through its drivers: the slopes if any is nonzero, else the
-    v-free parts.
+    A matrix with a zero entry is read off by :func:`_factor_with_zero`, and
+    all four products of its candidate are checked.  Any other goes through
+    its drivers, the slopes if any is nonzero, else the v-free parts, and
+    only the two products that division left unproven are checked.
 
     Raises:
         NoProgress: if no candidate reproduces ``m``, which is certain for a
@@ -179,14 +187,13 @@ def _reduce(m: Mat2) -> SplitCertificate:
     """
     entries = m.entries()
     if not all(entries):
-        candidates = [_factor_with_zero(*entries)]
+        candidates = [(*_factor_with_zero(*entries), ((0, 0), (0, 1), (1, 0), (1, 1)))]
     else:
         slopes, consts = zip(*map(v_slices, entries))
         candidates = _candidates(slopes if any(slopes) else consts, slopes, consts)
-    for x, y in candidates:
-        cert = SplitCertificate(Vec2(*x), Vec2(*y))
-        if kron(cert.x, cert.y) == m:
-            return cert
+    for x, y, unproven in candidates:
+        if all(x[i] * y[j] == entries[2 * i + j] for i, j in unproven):
+            return SplitCertificate(Vec2(*x), Vec2(*y))
     raise NoProgress("internal error: certificate failed verification")
 
 
@@ -202,9 +209,11 @@ def split(m: Mat2) -> SplitCertificate:
     is read off by inspection.  Otherwise the v-free factor is the primitive
     part of one row or column of the drivers, the slopes if the matrix
     depends on v, else the v-free parts, and the other factor comes by exact
-    division.  The returned certificate is re-multiplied and compared with
-    the input before being handed back; a rank-one product is degenerate, so
-    that check is what certifies degeneracy.  :func:`is_degenerate` runs on
+    division.  Before the certificate is handed back, each product
+    ``x_i * y_j`` that the division did not prove is formed and compared
+    with the input: one row or column of ``kron(x, y)`` with no zero entry,
+    all four otherwise.  A rank-one product is degenerate, so that check is
+    what certifies degeneracy.  :func:`is_degenerate` runs on
     the whole matrix only when every candidate fails the check, to tell a
     full-rank input from a failure on a degenerate one.
 

@@ -610,10 +610,10 @@ def test_real_times_quaternion_matches_the_quaternion_product(r, q, cancel):
 @given(huge_qpolys, huge_quaternions.filter(bool))
 def test_scaling_by_one_quaternion_matches_the_product(p, c):
     for poly in (p, QPolyU([p.coeff(du, 0) for du in range(p.deg_u + 1)])):
-        result = poly._scaled(c)
-        assert type(result) is type(poly)
-        assert result == poly * c
-        assert_canonical(result)
+        for result, product in ((poly._scaled(c), poly * c), (poly._scaled(c, left=True), c * poly)):
+            assert type(result) is type(poly)
+            assert result == product
+            assert_canonical(result)
 
 
 @given(huge_rpolys)

@@ -30,11 +30,10 @@ from quatsurf import (
     swap_cols,
     swap_rows,
 )
-from quatsurf.qmat import _CT, _SC, _SR, _move
 from quatsurf.qpoly import v_slices
 from quatsurf.quat import I, J, K, ONE
 
-from helpers import _SYMMETRIES, _undo_on_factors, rand_nonzero_qpolyuv, rand_nonzero_quat, rand_qpolyuv, rand_vec2, reference_split
+from helpers import _SYMMETRIES, _apply_move, _undo_on_factors, rand_nonzero_qpolyuv, rand_nonzero_quat, rand_qpolyuv, rand_vec2, reference_split
 
 U = QPolyUV.var_u()
 V = QPolyUV.var_v()
@@ -171,14 +170,13 @@ def _slices(m: Mat2):
 
 
 def test_v_slopes_follow_their_entries_under_each_move():
-    # The moves of a reduction on the slopes alone are moves of the matrix:
-    # each symmetry takes the slopes to the slopes of the moved matrix.
+    # v is central and conjugation acts coefficientwise, so each symmetry
+    # takes the v-slices of a matrix to the v-slices of the moved matrix.
     rng = random.Random(40)
     for _ in range(40):
         m = Mat2(*(rand_qpolyuv(rng, 2, 1) for _ in range(4)))
-        for op in (_SR, _SC, _CT):
-            moved = _slices(Mat2(*_move(m.entries(), op)))
-            assert tuple(_move(part, op) for part in _slices(m)) == moved
+        for move in (swap_rows, swap_cols, conj_transpose):
+            assert tuple(move(Mat2(*part)).entries() for part in _slices(m)) == _slices(move(m))
 
 
 @st.composite
@@ -292,10 +290,10 @@ def test_normalized_certificate_does_not_depend_on_the_path(m):
     # split_normalize returns: the normalized form is path-independent.
     expected = split_normalize(split(m))
     for sym in _SYMMETRIES:
-        moved = m.entries()
+        moved = m
         for op in sym:
-            moved = _move(moved, op)
-        cert = split(Mat2(*moved))
+            moved = _apply_move(moved, (op,))
+        cert = split(moved)
         x, y = (cert.x.e1, cert.x.e2), (cert.y.e1, cert.y.e2)
         for op in reversed(sym):
             x, y = _undo_on_factors(x, y, (op,))
@@ -381,6 +379,24 @@ def test_not_degenerate_names_its_witness(m, witness):
     assert info.value.witness == witness
     assert str(info.value) == "matrix rows are not left-linearly dependent"
     assert not is_degenerate(m)
+
+
+@pytest.mark.parametrize("transpose", [False, True], ids=["x-side", "y-side"])
+@pytest.mark.parametrize("slot", range(4))
+def test_the_half_check_rejects_a_perturbed_entry(slot, transpose):
+    # 3u moves neither extreme term, so the reduction must reject the matrix.
+    # In the row (x side) or column (y side) that split divides, a remainder
+    # does; elsewhere only the check of the two unproven products can.
+    rng = random.Random(slot)
+    for _ in range(40):
+        x = Vec2(*(rand_nonzero_qpolyuv(rng, 2, 0, density=1.0) for _ in range(2)))
+        y = Vec2(*(rand_nonzero_qpolyuv(rng, 2, 1, density=1.0) for _ in range(2)))
+        entries = list(kron(x, y).entries())
+        entries[slot] += 3 * U
+        m = conj_transpose(Mat2(*entries)) if transpose else Mat2(*entries)
+        with pytest.raises(NotDegenerate) as info:
+            split(m)
+        assert info.value.witness == "identity"
 
 
 @st.composite

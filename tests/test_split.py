@@ -152,6 +152,34 @@ def test_costly_shape_certificates_are_pinned():
     assert digest.hexdigest() == "dd9a8946dac85ab3dfbe333cc12147320a25b1b51a1b9eea1e13e5a5ee43062a"
 
 
+def _row_read_products():
+    """Products whose v-free factor split reads off a driver row, 40 of each kind:
+    v-free products, v-free ``kron(x*g, h*y)``, and conjugate transposes of
+    products whose x is free of v."""
+    rng = random.Random(41)
+
+    def vec(dv):
+        return Vec2(*(rand_nonzero_qpolyuv(rng, 2, dv) for _ in range(2)))
+
+    for _ in range(40):
+        yield kron(vec(0), vec(0))
+    for _ in range(40):
+        x, y = vec(0), vec(0)
+        g, h = rand_nonzero_qpolyuv(rng, 1, 0), rand_nonzero_qpolyuv(rng, 1, 0)
+        yield kron(Vec2(x.e1 * g, x.e2 * g), Vec2(h * y.e1, h * y.e2))
+    for _ in range(40):
+        yield conj_transpose(kron(vec(0), vec(1)))
+
+
+def test_row_read_raw_certificates_are_pinned():
+    # _FROZEN_SPLITS pins raw certificates read off a driver column only;
+    # this digest pins the raw ones read off a row.
+    digest = hashlib.sha256()
+    for m in _row_read_products():
+        digest.update(json.dumps(split(m).to_json(), separators=(",", ":")).encode())
+    assert digest.hexdigest() == "d5f06852129179608ec221d950d4e9f222ba049948474ab045c82fbee4af42a0"
+
+
 def test_costly_shape_raw_certificates_stay_small():
     # x is the monic right primitive part of a slope column, found by Euclid
     # with monic remainders, so the raw certificates of these shapes hold

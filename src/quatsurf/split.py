@@ -11,17 +11,14 @@ With no zero entry every ``x_i`` and ``y_j`` is nonzero, so
 ``deg_v(x_i) + deg_v(y_j) <= 1`` makes one factor free of v, and the drivers
 form a rank-one matrix as well: ``kron(x, y)`` itself for a v-free matrix,
 else ``kron(x, s(y))`` or ``kron(s(x), y)``, ``s`` taking the slopes of the
-v-dependent factor.  Row i of a rank-one ``kron(a, b)`` is ``a_i*(b1, b2)``,
-so its left-primitive part (the row over its left gcd, made monic on the
-left) is b's; a nonzero column ``(a1, a2)*b_j`` gives a's right-primitive
-part the same way.  The v-free factor is read off one driver row or column,
-and the other comes by exact division of the v-slices:
-
-* y side: y is the first nonzero driver row over its left gcd, made monic on
-  the left, and each ``x_i`` is the right quotient of ``m_ij`` by ``y_j``;
-* x side: x is the first nonzero driver column over its right gcd, made
-  monic on the right, and each ``y_j`` is the left quotient of ``m_ij`` by
-  ``x_i``.
+v-dependent factor.  A nonzero column of a rank-one ``kron(a, b)`` is
+``(a1, a2)*b_j``, so its right-primitive part (the column over its right
+gcd, made monic on the right) is a's.  One rule reads the factors off: x is
+the right-primitive part of the first nonzero driver column, and each
+``y_j`` is the left quotient of ``m_kj`` by ``x_k``, found by exact division
+of the v-slices.  This is the x side, for a v-free x.  The y side, for a
+v-free y, is the same rule on ``conj_transpose(m)``, since that is
+``kron(conj(y), conj(x))``; the pair found there is conjugated and swapped.
 
 A remainder or a product that differs from the matrix passes to the next
 side.  The y side comes first.  It is tried only when each row's
@@ -56,7 +53,7 @@ certificate.
 from __future__ import annotations
 
 from .errors import NoProgress, NotDegenerate, PreconditionDegree
-from .qmat import Mat2, Vec2, _full_rank_witness, is_degenerate
+from .qmat import Mat2, Vec2, _full_rank_witness, conj_transpose, is_degenerate
 from .qpoly import _from_v_slices, left_div_rem, right_div_rem, v_slices
 from .quat import _json_object, _Value
 
@@ -102,48 +99,55 @@ def _factor_with_zero(a, b, c, d) -> tuple[tuple, tuple]:
     raise NoProgress("a zero entry with both neighbors nonzero contradicts degeneracy")
 
 
-def _primitive(pair: tuple, left: bool) -> tuple:
-    """``(p1, p2)`` with ``pair = g*(p1, p2)`` for the left gcd ``g``, or ``(p1, p2)*g`` for the right one.
+def _primitive(pair: tuple) -> tuple:
+    """The right-primitive part ``(p1, p2)``, with ``pair = (p1, p2)*g`` for the right gcd ``g``.
 
-    Euclid's algorithm finds ``g`` by the division that keeps the divisor on
-    that side.  Each nonzero remainder is made monic by a constant on the
-    other side, which changes ``g`` by a unit only and keeps coefficients
-    from swelling.  The result is scaled on the side of ``g`` so that its
-    first nonzero entry has leading coefficient 1.
+    Euclid's algorithm finds ``g`` by right division.  Each nonzero remainder
+    is made monic by a constant on the left, which changes ``g`` by a unit
+    only and keeps coefficients from swelling.  The result is scaled on the
+    right so that its first nonzero entry has leading coefficient 1.
     """
-    div = left_div_rem if left else right_div_rem
     a, b = pair
     while b:
-        r = div(a, b)[1]
+        r = right_div_rem(a, b)[1]
         if r:
-            r = r._scaled(r.lead.inverse(), left=not left)
+            r = r._scaled(r.lead.inverse(), left=True)
         a, b = b, r
     if a.degree:
-        pair = tuple(div(e, a)[0] for e in pair)
+        pair = tuple(right_div_rem(e, a)[0] for e in pair)
     inv = next(e for e in pair if e).lead.inverse()
-    return tuple(e._scaled(inv, left=left) for e in pair)
+    return tuple(e._scaled(inv) for e in pair)
 
 
-def _cofactor(slopes, consts, known: tuple, left: bool) -> tuple[tuple, int] | None:
-    """The factor that goes with the v-free factor ``known``, and the index ``k`` of the divisor; None on a remainder.
+def _cofactor(slopes, consts, x: tuple) -> tuple[tuple, int] | None:
+    """The y that goes with the v-free x, and the index ``k`` of the divisor; None on a remainder.
 
-    With ``left``, ``known`` is x and ``y_j`` the left quotient of ``m_ij``
-    by ``x_i``; otherwise ``known`` is y and ``x_i`` the right quotient of
-    ``m_ij`` by ``y_j``.  Only the least-degree nonzero entry ``known[k]``
-    divides.  A zero remainder in both v-slices proves the products with it,
-    row k (with ``left``) or column k of ``kron(x, y)``, equal to ``m``; the
-    caller checks the other row or column.
+    Each ``y_j`` is the left quotient of ``m_kj`` by ``x_k``, for the
+    least-degree nonzero entry ``x[k]``.  A zero remainder in both v-slices
+    proves row k of ``kron(x, y)`` equal to ``m``; the caller checks the
+    other row.
     """
-    div = left_div_rem if left else right_div_rem
-    k = min((e.degree, k) for k, e in enumerate(known) if e)[1]
-    factor = []
-    for n in (0, 1):
-        idx = 2 * k + n if left else 2 * n + k
-        (q1, r1), (q0, r0) = div(slopes[idx], known[k]), div(consts[idx], known[k])
+    k = min((e.degree, k) for k, e in enumerate(x) if e)[1]
+    y = []
+    for j in (0, 1):
+        (q1, r1), (q0, r0) = left_div_rem(slopes[2 * k + j], x[k]), left_div_rem(consts[2 * k + j], x[k])
         if r1 or r0:
             return None
-        factor.append(_from_v_slices(q1, q0))
-    return tuple(factor), k
+        y.append(_from_v_slices(q1, q0))
+    return tuple(y), k
+
+
+def _x_side(drivers, slopes, consts):
+    """The candidate read off the first nonzero driver column, if division leaves no remainder.
+
+    x is the column's right-primitive part and y its :func:`_cofactor`; the
+    candidate comes with the two positions ``(i, j)`` left unproven.
+    """
+    x = _primitive(next(col for col in (drivers[::2], drivers[1::2]) if any(col)))
+    found = _cofactor(slopes, consts, x)
+    if found:
+        y, k = found
+        yield tuple(e.to_uv() for e in x), y, ((1 - k, 0), (1 - k, 1))
 
 
 def _candidates(drivers, slopes, consts):
@@ -153,23 +157,17 @@ def _candidates(drivers, slopes, consts):
     unproven.  The y side comes first, and only when each row's
     ``[[s_i1, s_i2], [c_i1, c_i2]]`` passes the extreme-term test of
     :func:`_full_rank_witness`, as a rank-one row ``kron((x1_i, x0_i), y)``
-    does: y is the left-primitive part of the first nonzero driver row.
-    Then the x side: x is the right-primitive part of the first nonzero
-    driver column (see the module docstring).
+    does: it is :func:`_x_side` on the conjugate transpose, whose pair is
+    conjugated and swapped, and whose unproven positions are transposed.
+    Then the x side, :func:`_x_side` on the matrix itself.
     """
-    # _full_rank_witness reads only the entries' term maps, so u-polynomials serve.
+    # A Mat2 of u-polynomials serves: _full_rank_witness reads only term maps, conj_transpose conjugates.
     rows = ((slopes[k], slopes[k + 1], consts[k], consts[k + 1]) for k in (0, 2))
     if all(_full_rank_witness(Mat2(*row)) is None for row in rows):
-        y = _primitive(next(row for row in (drivers[:2], drivers[2:]) if any(row)), left=True)
-        found = _cofactor(slopes, consts, y, left=False)
-        if found:
-            x, k = found
-            yield x, tuple(e.to_uv() for e in y), ((0, 1 - k), (1, 1 - k))
-    x = _primitive(next(col for col in (drivers[::2], drivers[1::2]) if any(col)), left=False)
-    found = _cofactor(slopes, consts, x, left=True)
-    if found:
-        y, k = found
-        yield tuple(e.to_uv() for e in x), y, ((1 - k, 0), (1 - k, 1))
+        transposed = (conj_transpose(Mat2(*p)).entries() for p in (drivers, slopes, consts))
+        for xt, yt, unproven in _x_side(*transposed):
+            yield tuple(e.conj() for e in yt), tuple(e.conj() for e in xt), tuple((j, i) for i, j in unproven)
+    yield from _x_side(drivers, slopes, consts)
 
 
 def _reduce(m: Mat2) -> SplitCertificate:

@@ -18,6 +18,7 @@ from quatsurf import (
     Quaternion,
     RPolyUV,
     Vec2,
+    grid_params,
     is_degenerate,
     is_pythagorean,
     kron,
@@ -369,6 +370,32 @@ def test_sphere_map_unit_norm():
         assert sum(c * c for c in point) == 1
         checked += 1
 
+
+
+def _inverse_stereographic(p: Quaternion) -> tuple[Fraction, ...]:
+    """``(2p, |p|^2 - 1)/(|p|^2 + 1)``: the inverse stereographic map from H = R^4 onto S^4."""
+    n = p.norm_sq()
+    return (*(2 * c / (n + 1) for c in p.components()), (n - 1) / (n + 1))
+
+
+def test_sphere_map_of_a_pair_is_the_inverse_stereographic_image_of_a_quotient():
+    # x1..x4 are a*b, x5 and x6 are (N(b) -/+ N(a))/2, and conj(a)^-1 = a/N(a),
+    # so the map is sigma^-1(conj(a)^-1 * b) wherever a does not vanish.  Base
+    # points, where x6 = (N(a) + N(b))/2 vanishes, are among those skipped.
+    rng = random.Random(5)
+    grid = grid_params(3)
+    checked = 0
+    for _ in range(60):
+        a, b = (rand_qpolyuv(rng, rng.randint(0, 2), rng.randint(0, 2)) for _ in range(2))
+        t = tuple_from_pair(a, b)
+        for u0 in grid:
+            for v0 in grid:
+                a0 = a.eval(u0, v0)
+                if not a0:
+                    continue
+                assert tuple_to_sphere_map(t, u0, v0) == _inverse_stereographic(a0.conj().inverse() * b.eval(u0, v0))
+                checked += 1
+    assert checked >= 400
 
 # endregion
 

@@ -114,6 +114,28 @@ def test_no_unused_import_in_the_package(path):
     assert not unused, unused
 
 
+def test_no_dead_private_helper_in_the_package():
+    # A module-level private function or class must be referenced by some
+    # package module: by name, as an attribute, or in an import.  Tests do
+    # not count, so a helper that only they call is dead code.
+    defined, referenced = {}, set()
+    for path in sorted(Path(quatsurf.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in tree.body:
+            name = getattr(node, "name", "")
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and name.startswith("_") and not name.startswith("__"):
+                defined[name] = f"{path.name}:{node.lineno}"
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                referenced.update(alias.name for alias in node.names)
+    dead = sorted(f"{where}: {name}" for name, where in defined.items() if name not in referenced)
+    assert not dead, dead
+
+
 def test_trailing_zeros_trimmed():
     assert QPolyU([ONE, Quaternion.zero()]) == QPolyU([ONE])
     assert QPolyU([Quaternion.zero()]).is_zero

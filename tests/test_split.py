@@ -180,6 +180,45 @@ def test_row_read_raw_certificates_are_pinned():
     assert digest.hexdigest() == "d5f06852129179608ec221d950d4e9f222ba049948474ab045c82fbee4af42a0"
 
 
+def _column_read_products():
+    """Products ``kron(x, y)`` with x free of v and y not, whose x split reads
+    off a driver column, 20 of each kind: ``deg x2 < deg x1``, so the cofactor
+    divides by an ``x2`` that is not monic; factors with gaps between their
+    terms; and dense factors with 3-digit heights."""
+    rng = random.Random(42)
+
+    def poly(du, dv, **kw):
+        while True:
+            p = rand_nonzero_qpolyuv(rng, du, dv, **kw)
+            if p.deg_u == du and p.deg_v == dv:
+                return p
+
+    def gapped(du, dv):
+        # Terms at u^0 and u^du only, each with or without v.
+        return sum((QPolyUV.monomial(rand_nonzero_quat(rng), e, f) for e in (0, du) for f in range(dv + 1)), ZERO)
+
+    for _ in range(20):
+        x = Vec2(poly(rng.randint(2, 3), 0), poly(rng.randint(0, 1), 0))
+        yield kron(x, Vec2(poly(2, 1), poly(1, 1)))
+    for _ in range(20):
+        x = Vec2(gapped(rng.randint(2, 3), 0), gapped(rng.randint(2, 3), 0))
+        yield kron(x, Vec2(gapped(2, 1), gapped(3, 1)))
+    for _ in range(20):
+        x = Vec2(*(poly(2, 0, density=1.0, max_num=999, max_den=999) for _ in range(2)))
+        yield kron(x, Vec2(*(poly(2, 1, density=1.0, max_num=999, max_den=999) for _ in range(2))))
+
+
+def test_column_read_certificates_are_pinned():
+    # The raw and normalized certificates of factors read off a driver column,
+    # where _cofactor's exact divisions run on divisors that are not monic.
+    digest = hashlib.sha256()
+    for m in _column_read_products():
+        cert = split(m)
+        for c in (cert, split_normalize(cert)):
+            digest.update(json.dumps(c.to_json(), separators=(",", ":")).encode())
+    assert digest.hexdigest() == "74fc56368dd2bd830009bb56c16a97589f93a5792f5e0f07c377feeaf092d396"
+
+
 def test_costly_shape_raw_certificates_stay_small():
     # x is the monic right primitive part of a slope column, found by Euclid
     # with monic remainders, so the raw certificates of these shapes hold

@@ -13,21 +13,22 @@ the matrix is degenerate iff ``b = 0`` or ``c = 0``.  Deciding it needs one
 exact polynomial identity, evaluated on the canonical integer coefficients
 that :mod:`quatsurf.qpoly` stores, with ``N(a)`` computed as a real map and
 multiplied into ``d`` by the real-times-quaternion kernel; rows are not
-scaled, and this module does no polynomial arithmetic of its own.
+scaled.  This module does no polynomial arithmetic of its own: its
+extreme-term check below works on single coefficient tuples.
 
 The coefficient ring has no zero divisors and u, v are central, so under
 lexicographic order on ``(du, dv)`` the leading term of a product is the
 product of the leading terms, and likewise the trailing (least) term.  Both
-sides' extreme terms therefore come from the entries' extreme terms at the
-cost of a few single-term products.  Where they differ the matrix has full
-rank, which is decided before any full product is formed;
-:func:`quatsurf.split.split` shares this check.
+sides' extreme terms therefore come from the entries' extreme terms: an
+exponent sum and a few products of single coefficient tuples.  Where they
+differ the matrix has full rank, which is decided before any full product
+is formed; :func:`quatsurf.split.split` shares this check.
 """
 
 from __future__ import annotations
 
 from .qpoly import QPolyUV, _norm, _qmul, _rqmul
-from .quat import _json_array, _Value
+from .quat import _canon, _hamilton, _json_array, _product, _Value
 
 # region types
 
@@ -134,8 +135,10 @@ def _full_rank_witness(m: Mat2) -> str | None:
     A zero entry settles the identity at once: ``"identity"`` if the matrix
     then has full rank.  Otherwise the leading terms of the two sides, in
     lexicographic order on ``(du, dv)``, are products of the entries' leading
-    terms, with no cancellation; so are the trailing terms.  Both are
-    computed from four single-term maps, and a mismatch is returned as
+    terms, with no cancellation; so are the trailing terms.  Each is compared
+    on the four extreme ``(key, tuple)`` pairs: the exponent sums
+    ``ka + kb + kc`` and ``2*ka + kd``, then the canonical coefficients
+    ``tc*conj(ta)*tb`` and ``N(ta)*td``.  A mismatch is returned as
     ``"leading term"`` or ``"trailing term"``.  None means the full identity
     must decide.
     """
@@ -147,8 +150,13 @@ def _full_rank_witness(m: Mat2) -> str | None:
         degenerate = zero_left if not a else zero_left == (not d)
         return None if degenerate else "identity"
     for witness, pick in (("leading term", max), ("trailing term", min)):
-        left, right = _sides(*({(k := pick(e)): e[k]} for e in (a, b, c, d)))
-        if left != right:
+        ((ua, va), ta), ((ub, vb), tb), ((uc, vc), tc), ((ud, vd), td) = ((k := pick(e), e[k]) for e in (a, b, c, d))
+        if (ua + ub + uc, va + vb + vc) != (2 * ua + ud, 2 * va + vd):
+            return witness
+        w, x, y, z, den = ta
+        n = w * w + x * x + y * y + z * z
+        left = _product(_hamilton(tc, (w, -x, -y, -z, den)), tb)
+        if left != _canon((n * td[0], n * td[1], n * td[2], n * td[3], den * den * td[4])):
             return witness
     return None
 

@@ -20,9 +20,12 @@ products, conjugates and division steps run on these tuples, with a
 denominator per coefficient, never per polynomial; each output coefficient is
 canonicalized once.  A quaternion product takes 16 integer multiplications
 per term pair.
-Scaling by one quaternion on either side (``_scaled``), and each quotient
-term of a division step, skip the accumulation: one Hamilton product per
-term, each canonicalized on its own.
+Scaling by one quaternion on either side (``_scaled``) skips the
+accumulation: one Hamilton product per term, each canonicalized on its own.
+A division step updates only the terms it changes: its top term cancels and
+is dropped, and each lower term of the divisor changes one term of the
+remainder, by one Hamilton product subtracted in place.  A monic divisor
+skips the quotient product, since its quotient term is the top term itself.
 Two real kernels skip the quaternion product where a value is real:
 ``_norm`` forms ``p*conj(p)``, or a signed sum of such norms, from one dot
 product per unordered term pair, and ``_rqmul`` multiplies a real map into a
@@ -45,7 +48,7 @@ from math import gcd, lcm
 from .errors import DegreeTooHigh, InvalidInput
 from .quat import Quaternion, _canon, _coerce as _coerce_rational, _int_repr, _inverse, _json_object, _neg, _operand
 from .quat import _quat_json
-from .quat import _product, _ratio_to_str, _sum, rational_from_str
+from .quat import _ONE, _hamilton, _product, _ratio_to_str, _sum, rational_from_str
 
 _Q_ZERO = Quaternion.zero()
 _ZERO_FR = Fraction(0)
@@ -499,6 +502,7 @@ def left_div_rem(a: QPolyU, b: QPolyU) -> tuple[QPolyU, QPolyU]:
     choice that works when coefficients do not commute.
 
     Raises:
+        TypeError: if ``a`` or ``b`` is not a :class:`QPolyU`.
         ZeroDivisionError: if ``b`` is the zero polynomial.
     """
     return _div_rem(a, b, left=True)
@@ -510,24 +514,39 @@ def right_div_rem(a: QPolyU, b: QPolyU) -> tuple[QPolyU, QPolyU]:
     Mirror of :func:`left_div_rem`; the two quotients differ in general.
 
     Raises:
+        TypeError: if ``a`` or ``b`` is not a :class:`QPolyU`.
         ZeroDivisionError: if ``b`` is the zero polynomial.
     """
     return _div_rem(a, b, left=False)
 
 
 def _div_rem(a: QPolyU, b: QPolyU, left: bool) -> tuple[QPolyU, QPolyU]:
+    if not (isinstance(a, QPolyU) and isinstance(b, QPolyU)):
+        raise TypeError(f"division takes QPolyU operands, got {type(a).__name__} and {type(b).__name__}")
     if not b:
         raise ZeroDivisionError("polynomial division by zero")
     bt, db = b._ints, b.degree
     inv = _inverse(bt[(db, 0)])
+    monic = inv == _ONE
+    lower = [(e, t) for (e, _), t in bt.items() if e != db]
     q: dict = {}
-    r = a._ints
+    r = dict(a._ints)
     while r and (top := max(r)[0]) >= db:
-        # Subtract b*(c u^shift) or (c u^shift)*b; the top coefficient cancels exactly.
-        t = r[(top, 0)]
-        c = {(top - db, 0): _product(inv, t) if left else _product(t, inv)}
-        q.update(c)
-        r = _qmul(bt, c, r, -1) if left else _qmul(c, bt, r, -1)
+        # Subtract b*(c u^shift) or (c u^shift)*b: the top term cancels
+        # exactly, and each lower term of b changes one term of r.
+        t = r.pop((top, 0))
+        c = t if monic else _product(inv, t) if left else _product(t, inv)
+        shift = top - db
+        q[(shift, 0)] = c
+        for e, bc in lower:
+            key = (e + shift, 0)
+            p = _hamilton(bc, c) if left else _hamilton(c, bc)
+            cur = r.get(key)
+            s = _canon(_neg(p)) if cur is None else _sum(cur, p, -1)
+            if s is None:
+                del r[key]
+            else:
+                r[key] = s
     return QPolyU._raw(q), QPolyU._raw(r)
 
 

@@ -138,8 +138,9 @@ def _ratio_of(value) -> tuple[int, int]:
 
 # region canonical tuples
 
-#: The canonical tuple of zero.
+#: The canonical tuples of zero and one.
 _ZERO = (0, 0, 0, 0, 1)
+_ONE = (1, 0, 0, 0, 1)
 
 
 def _canon(t: tuple) -> tuple | None:
@@ -152,7 +153,11 @@ def _canon(t: tuple) -> tuple | None:
 
 
 def _sum(a: tuple, b: tuple, sign: int) -> tuple | None:
-    """``a + sign*b`` for canonical tuples, in canonical form; None if it is zero."""
+    """``a + sign*b`` in canonical form; None if it is zero.
+
+    ``a`` and ``b`` may be any tuples with ``d > 0``, not only canonical
+    ones: division subtracts unreduced Hamilton products with it.
+    """
     a0, a1, a2, a3, da = a
     b0, b1, b2, b3, db = b
     m = da if da == db else lcm(da, db)

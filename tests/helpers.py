@@ -541,6 +541,25 @@ def reference_div_rem(a: dict, b: dict, left: bool) -> tuple[dict, dict]:
     return qc, {(i, 0): c for i, c in enumerate(rc) if c}
 
 
+def reference_full_rank_witness(m: Mat2) -> str | None:
+    """The extreme-term check of ``quatsurf.qmat._full_rank_witness``, on coefficient values.
+
+    A matrix with a zero entry is ``"identity"`` when the complex embedding
+    finds full rank.  Otherwise the single-term maps of the entries' leading,
+    then trailing, terms give both sides of the pivot identity,
+    ``c*conj(a)*b`` and ``a*conj(a)*d``, by :func:`reference_mul`.
+    """
+    entries = [e.terms for e in m.entries()]
+    if not all(entries):
+        return None if reference_is_degenerate(m) else "identity"
+    for witness, pick in (("leading term", max), ("trailing term", min)):
+        a, b, c, d = ({(k := pick(e)): e[k]} for e in entries)
+        left = reference_mul(reference_mul(c, reference_conj(a)), b)
+        if left != reference_mul(reference_mul(a, reference_conj(a)), d):
+            return witness
+    return None
+
+
 # endregion
 
 

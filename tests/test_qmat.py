@@ -28,6 +28,7 @@ from helpers import (
     rand_qpolyuv,
     rand_rpolyuv,
     rand_vec2,
+    reference_full_rank_witness,
     reference_is_degenerate,
     reference_origin_full_rank,
 )
@@ -312,6 +313,36 @@ def test_a_middle_monomial_is_left_to_the_full_identity(p):
     degenerate = Mat2(p, p, p, p)
     assert _full_rank_witness(degenerate) is None
     assert is_degenerate(degenerate) and reference_is_degenerate(degenerate)
+
+
+def _plus_22(m: Mat2, term: QPolyUV) -> Mat2:
+    return Mat2(m.m11, m.m12, m.m21, m.m22 + term)
+
+
+# kron(x, y) has m22 = (1 + u*i)*(k + u*i) = k + u*(i - j) - u**2: its leading
+# key is (2, 0) with coefficient -1, its trailing key (0, 0) with k.
+_PRODUCT = kron(Vec2(ONE_P + U * J, ONE_P + U * I), Vec2(const(J) + U * V * K, const(K) + U * I))
+_WITNESS_CASES = {
+    "product": (_PRODUCT, None),
+    "product-with-a-zero-row": (kron(Vec2(ZERO, U + I), Vec2(ONE_P + V, U * J)), None),
+    "zero-pivot-full-rank": (Mat2(ZERO, ONE_P, U, ONE_P), "identity"),
+    "zero-corner-full-rank": (Mat2(ONE_P, U, V, ZERO), "identity"),
+    "leading-exponent": (_plus_22(_PRODUCT, U * U * U * U * U), "leading term"),
+    "leading-coefficient": (_plus_22(_PRODUCT, QPolyUV.monomial(K, 2, 0)), "leading term"),
+    "trailing-coefficient": (_plus_22(_PRODUCT, const(I)), "trailing term"),
+    "trailing-exponent": (Mat2(U, U, U, U + ONE_P), "trailing term"),
+}
+
+
+@pytest.mark.parametrize("m, witness", _WITNESS_CASES.values(), ids=_WITNESS_CASES)
+def test_the_extreme_term_check_matches_its_reference(m, witness):
+    assert _full_rank_witness(m) == reference_full_rank_witness(m) == witness
+
+
+@settings(max_examples=80)
+@given(st.one_of(degeneracy_cases(), products(), full_rank_at_the_origin()))
+def test_the_extreme_term_check_matches_its_reference_on_drawn_matrices(m):
+    assert _full_rank_witness(m) == reference_full_rank_witness(m)
 
 # endregion
 

@@ -277,6 +277,73 @@ def test_division_contract_random():
         assert r.degree < b.degree
 
 
+@pytest.mark.parametrize(
+    "a, b",
+    [
+        (UU * UU + VV, QPolyU([0, 1])),
+        (UU * VV, QPolyU([0, 1])),
+        (QPolyU([1, 0, 1]), UU),
+        (QPolyU([1, 0, 1]), 2),
+        (2, QPolyU([0, 1])),
+    ],
+    ids=["v-term-dividend", "uv-dividend", "bivariate-divisor", "int-divisor", "int-dividend"],
+)
+@pytest.mark.parametrize("divide", [left_div_rem, right_div_rem], ids=["left", "right"])
+def test_division_takes_only_u_polynomials(divide, a, b):
+    with pytest.raises(TypeError, match="QPolyU"):
+        divide(a, b)
+
+
+def test_division_steps_that_cancel_exactly():
+    # u**4 + 1 = (u**2 + i)*(u**2 - i): a monic divisor with a gap, whose
+    # steps cancel every term of the remainder.
+    b = QPolyU([I, 0, 1])
+    for divide in (left_div_rem, right_div_rem):
+        q, r = divide(QPolyU([1, 0, 0, 0, 1]), b)
+        assert q == QPolyU([-I, 0, 1]) and not r._ints
+    # Degree-0 divisors: 1 returns the dividend, i scales it by -i.
+    a = QPolyU([J, 0, K])
+    assert left_div_rem(a, QPolyU.one()) == (a, QPolyU.zero())
+    assert left_div_rem(a, QPolyU([I])) == (QPolyU([-K, 0, J]), QPolyU.zero())
+    assert right_div_rem(a, QPolyU([I])) == (QPolyU([K, 0, -J]), QPolyU.zero())
+
+
+def u_maps(top: int = 4, **kw):
+    """Term maps of u-polynomials of degree at most ``top``."""
+    return st.dictionaries(st.integers(0, top).map(lambda du: (du, 0)), wide_quaternions.filter(bool), **kw)
+
+
+@st.composite
+def division_cases(draw):
+    """A divisor of degree 0 to 3 whose lead is exactly 1 or drawn, with any
+    subset of its lower terms, so with gaps; and a dividend that it divides
+    exactly on one side, so the steps cancel to an empty remainder, divides
+    up to a drawn remainder, or that is drawn freely."""
+    db = draw(st.integers(0, 3))
+    lower = draw(st.sets(st.integers(0, db - 1))) if db else set()
+    b = {(du, 0): draw(wide_quaternions.filter(bool)) for du in lower}
+    b[(db, 0)] = ONE if draw(st.booleans()) else draw(wide_quaternions.filter(bool))
+    shape = draw(st.sampled_from(["exact", "near", "free"]))
+    if shape == "free":
+        return draw(u_maps(max_size=3)), b
+    q = draw(u_maps(max_size=3))
+    a = reference_mul(b, q) if draw(st.booleans()) else reference_mul(q, b)
+    if shape == "near" and db:
+        a = reference_add(a, draw(u_maps(db - 1)))
+    return a, b
+
+
+@given(division_cases())
+def test_division_steps_match_the_dense_reference(case):
+    p, q = case
+    a, b = _dense_u(p), _dense_u(q)
+    for left, divide in ((True, left_div_rem), (False, right_div_rem)):
+        quotient, remainder = divide(a, b)
+        assert (quotient.terms, remainder.terms) == reference_div_rem(p, q, left)
+        assert_canonical(quotient)
+        assert_canonical(remainder)
+
+
 # endregion
 
 # region bivariate

@@ -9,10 +9,18 @@ at most 1.  The quotient ring is a division ring and u, v are central, so with
 
 read off from ``(c, d) = (c * a^-1) * (a, b)`` with ``a^-1 = conj(a) / N(a)``
 (the Dieudonne/Study view of the quaternionic determinant).  With ``a = 0``
-the matrix is degenerate iff ``b = 0`` or ``c = 0``.  Deciding it needs one
-exact polynomial identity, evaluated on the canonical integer coefficients
-that :mod:`quatsurf.qpoly` stores, with ``N(a)`` computed as a real map and
-multiplied into ``d`` by the real-times-quaternion kernel; rows are not
+the matrix is degenerate iff ``b = 0`` or ``c = 0``.
+
+Any nonzero entry can serve as the pivot.  Swapping rows or columns keeps
+the rank, and the identity of a swapped matrix is the identity with
+another entry as pivot: ``d*conj(b)*a == N(b)*c`` (columns swapped),
+``a*conj(c)*d == N(c)*b`` (rows swapped) and ``b*conj(d)*c == N(d)*a``
+(both).  A matrix with a zero entry is settled before the identity runs,
+so every entry can pivot by then; the one taken needs the fewest term
+products, estimated from the four term counts alone, and ``a`` is kept on
+ties.  Deciding needs one exact polynomial identity, evaluated on the canonical integer coefficients that
+:mod:`quatsurf.qpoly` stores, with the pivot's norm computed as a real map
+and multiplied in by the real-times-quaternion kernel; rows are not
 scaled.  This module does no polynomial arithmetic of its own: its
 extreme-term check below works on single coefficient tuples.
 
@@ -129,6 +137,27 @@ def _sides(a: dict, b: dict, c: dict, d: dict) -> tuple[dict, dict]:
     return _qmul(_qmul(c, a_conj), b), _rqmul(_norm([a]), d)
 
 
+def _pivot_cost(entries: tuple[dict, dict, dict, dict]) -> int:
+    """The term products :func:`_sides` forms on ``entries``, estimated from term counts alone.
+
+    For dense entries a product has about as many terms as its two factors
+    together, so after the ``c*a`` pairs of ``c*conj(a)`` its product with
+    ``b`` costs about ``(a + c)*b`` pairs, and ``N(a)*d`` about ``a*d``.
+    """
+    a, b, c, d = map(len, entries)
+    return a * (b + c + d) + b * c
+
+
+def _pivoted(m: Mat2) -> tuple[dict, dict, dict, dict]:
+    """The term maps of ``m``, ``swap_cols(m)``, ``swap_rows(m)`` or both swaps, the cheapest by :func:`_pivot_cost`.
+
+    ``min`` keeps the first on ties, so ``m11`` stays the pivot unless
+    another entry is strictly cheaper.
+    """
+    a, b, c, d = (e._ints for e in m.entries())
+    return min(((a, b, c, d), (b, a, d, c), (c, d, a, b), (d, c, b, a)), key=_pivot_cost)
+
+
 def _full_rank_witness(m: Mat2) -> str | None:
     """The test that proves ``m`` has full rank without the whole identity, or None.
 
@@ -169,16 +198,19 @@ def is_degenerate(m: Mat2) -> bool:
     ``c * a^-1`` times the first, which leaves the single condition
     ``c * conj(a) * b == N(a) * d`` with the central norm ``N(a) = a * conj(a)``.
     The extreme terms of both sides are compared first (see
-    :func:`_full_rank_witness`); only when they agree are both sides
-    multiplied out, on the stored integer coefficients, with ``N(a)`` as a
-    real map.  No row is scaled, and canonical coefficients make the
-    comparison a plain map equality.  Exact, no floating point.
+    :func:`_full_rank_witness`), which also settles every matrix with a
+    zero entry.  Only when they agree are both sides multiplied out, on the
+    stored integer coefficients, with the norm as a real map.  Row and
+    column swaps keep the rank, so any entry, all nonzero by then, can be
+    the pivot: :func:`_pivoted` takes the one estimated to need the fewest
+    term products, ``m11`` on ties.  No row is scaled, and canonical coefficients make
+    the comparison a plain map equality.  Exact, no floating point.
     """
     if _full_rank_witness(m):
         return False
     if not all(m.entries()):  # a zero entry settled it, and not as full rank
         return True
-    left, right = _sides(*(e._ints for e in m.entries()))
+    left, right = _sides(*_pivoted(m))
     return left == right
 
 

@@ -555,9 +555,9 @@ def _decimal(digits: int):
     Raises:
         InvalidInput: if ``digits`` is negative or more than the interpreter
             prints, and from the renderer, for a result that it cannot print.
-        TypeError: if ``digits`` is not an int.
+        TypeError: if ``digits`` is not an int or is a bool.
     """
-    if not isinstance(digits, int):
+    if isinstance(digits, bool) or not isinstance(digits, int):
         raise TypeError(f"the number of decimal digits must be an int, got {type(digits).__name__}")
     if digits < 0:
         raise InvalidInput("the number of decimal digits must be nonnegative")
@@ -586,7 +586,7 @@ def render_decimal(value: Fraction, digits: int = 12) -> str:
     Raises:
         InvalidInput: if ``digits`` is negative, or if the result has more
             digits than the interpreter prints.
-        TypeError: if ``digits`` is not an int, or ``value`` not an int or Fraction.
+        TypeError: if ``digits`` is not an int or is a bool, or ``value`` not an int or Fraction.
     """
     return _decimal(digits)(*_ratio_of(value))
 
@@ -639,7 +639,7 @@ def export_csv(grid, digits: int = 12) -> str:
     Raises:
         InvalidInput: if ``digits`` is out of range, checked before any
             cell, or if a cell is not a 3-vector.
-        TypeError: if ``digits`` is not an int, or for a coordinate that is not an int or Fraction.
+        TypeError: if ``digits`` is not an int or is a bool, or for a coordinate that is not an int or Fraction.
     """
     return _grid_csv(_cells(grid), digits)
 
@@ -650,7 +650,7 @@ def export_obj(grid, digits: int = 12) -> str:
     Raises:
         InvalidInput: if ``digits`` is out of range, checked before any
             cell, or if a cell is not a 3-vector.
-        TypeError: if ``digits`` is not an int, or for a coordinate that is not an int or Fraction.
+        TypeError: if ``digits`` is not an int or is a bool, or for a coordinate that is not an int or Fraction.
     """
     return _grid_obj(_cells(grid), digits)
 

@@ -20,10 +20,12 @@ from quatsurf import (
     swap_cols,
     swap_rows,
 )
-from quatsurf.qmat import _full_rank_witness
+from quatsurf.qmat import _full_rank_witness, _pivoted
 from quatsurf.quat import I, J, K, ONE
 
 from helpers import (
+    _SYMMETRIES,
+    _apply_move,
     rand_nonzero_qpolyuv,
     rand_qpolyuv,
     rand_rpolyuv,
@@ -315,8 +317,50 @@ def test_a_middle_monomial_is_left_to_the_full_identity(p):
     assert is_degenerate(degenerate) and reference_is_degenerate(degenerate)
 
 
-def _plus_22(m: Mat2, term: QPolyUV) -> Mat2:
-    return Mat2(m.m11, m.m12, m.m21, m.m22 + term)
+# u-only x and v-only y, so the entry x_i*y_j has |x_i|*|y_j| terms.  Two-term
+# factors at row i and column j give that entry 4 terms, its neighbours 6 and
+# the opposite entry 9, which makes it the strictly cheapest pivot.
+_SHORT_X, _LONG_X = ONE_P + U * I, ONE_P + U * J + U * U * K
+_SHORT_Y, _LONG_Y = const(J) + V, const(I) + V * K + V * V
+
+
+def _pivot_at(index: int) -> Mat2:
+    row, col = divmod(index, 2)
+    x = Vec2(_SHORT_X, _LONG_X) if row == 0 else Vec2(_LONG_X, _SHORT_X)
+    y = Vec2(_SHORT_Y, _LONG_Y) if col == 0 else Vec2(_LONG_Y, _SHORT_Y)
+    return kron(x, y)
+
+
+def _plus_at(m: Mat2, index: int, term: QPolyUV) -> Mat2:
+    entries = list(m.entries())
+    entries[index] += term
+    return Mat2(*entries)
+
+
+@pytest.mark.parametrize("index", range(4), ids=["m11", "m12", "m21", "m22"])
+@pytest.mark.parametrize("full_rank", [False, True], ids=["product", "middle-monomial"])
+def test_each_entry_can_be_the_pivot(index, full_rank):
+    m = _pivot_at(index)
+    if full_rank:
+        # u lies strictly between the pivot's extreme keys (0, 0) and (1, 1):
+        # it changes one middle coefficient and neither extreme term, so only
+        # the identity on this pivot sees the full rank.
+        m = _plus_at(m, index, U)
+    assert _pivoted(m)[0] is m.entries()[index]._ints
+    assert _full_rank_witness(m) is None
+    assert is_degenerate(m) == reference_is_degenerate(m) == (not full_rank)
+
+
+@settings(max_examples=60)
+@given(st.one_of(degeneracy_cases(), products()))
+def test_degeneracy_is_the_same_on_all_eight_symmetries(m):
+    # The symmetries move entries, and with them the pivot _pivoted picks.
+    expected = reference_is_degenerate(m)
+    for sym in _SYMMETRIES:
+        moved = m
+        for op in sym:
+            moved = _apply_move(moved, (op,))
+        assert is_degenerate(moved) == expected
 
 
 # kron(x, y) has m22 = (1 + u*i)*(k + u*i) = k + u*(i - j) - u**2: its leading
@@ -327,9 +371,9 @@ _WITNESS_CASES = {
     "product-with-a-zero-row": (kron(Vec2(ZERO, U + I), Vec2(ONE_P + V, U * J)), None),
     "zero-pivot-full-rank": (Mat2(ZERO, ONE_P, U, ONE_P), "identity"),
     "zero-corner-full-rank": (Mat2(ONE_P, U, V, ZERO), "identity"),
-    "leading-exponent": (_plus_22(_PRODUCT, U * U * U * U * U), "leading term"),
-    "leading-coefficient": (_plus_22(_PRODUCT, QPolyUV.monomial(K, 2, 0)), "leading term"),
-    "trailing-coefficient": (_plus_22(_PRODUCT, const(I)), "trailing term"),
+    "leading-exponent": (_plus_at(_PRODUCT, 3, U * U * U * U * U), "leading term"),
+    "leading-coefficient": (_plus_at(_PRODUCT, 3, QPolyUV.monomial(K, 2, 0)), "leading term"),
+    "trailing-coefficient": (_plus_at(_PRODUCT, 3, const(I)), "trailing term"),
     "trailing-exponent": (Mat2(U, U, U, U + ONE_P), "trailing term"),
 }
 

@@ -226,6 +226,21 @@ def test_float_arguments_are_rejected(call):
         call()
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: render_decimal(Fraction(1, 3), True),
+        lambda: export_csv([[(Fraction(1, 3), Fraction(0), Fraction(0))]], True),
+        lambda: export_obj([[(Fraction(1, 3), Fraction(0), Fraction(0))]], False),
+    ],
+    ids=["render-decimal", "export-csv", "export-obj"],
+)
+def test_bool_digit_counts_are_rejected(call):
+    # bool is an int subclass: True would render one digit, as '0.3'.
+    with pytest.raises(TypeError, match="got bool"):
+        call()
+
+
 # endregion
 
 # region surface evaluation

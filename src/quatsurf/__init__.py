@@ -31,7 +31,6 @@ from .pythagorean import (
 )
 from .qmat import Mat2, Vec2, col_op, conj_transpose, is_degenerate, kron, swap_cols, swap_rows
 from .qpoly import (
-    QPolyU,
     QPolyUV,
     RPolyUV,
     left_div_rem,
@@ -76,7 +75,6 @@ __all__ = [
     "PolePoint",
     "PreconditionDegree",
     "PyTuple",
-    "QPolyU",
     "QPolyUV",
     "Quadric4",
     "Quaternion",

@@ -1,11 +1,12 @@
 """Polynomials with quaternion coefficients in central variables u and v.
 
-Three classes share one sparse core, ``_SparseUV``:
+Two classes share one sparse core, ``_SparseUV``:
 
 * :class:`QPolyUV` is a bivariate polynomial; u and v commute with every
-  coefficient, so only coefficient order matters in products.
-* :class:`QPolyU` is its v-free case, with the degree, leading coefficient
-  and two-sided division that split's Euclid runs and quotients need.
+  coefficient, so only coefficient order matters in products.  Its v-free
+  case is the ring of polynomials in u, on which the two-sided divisions
+  :func:`left_div_rem` and :func:`right_div_rem` run for split's Euclid
+  and quotients.
 * :class:`RPolyUV` restricts coefficients to rationals.  Real polynomials are
   central in the quaternionic ring, which several identities below rely on.
 
@@ -188,16 +189,17 @@ class _SparseUV:
     Stored as ``_ints``, a map from exponent pairs ``(du, dv)`` to canonical
     integer coefficient tuples (see the module docstring).  Instances are
     immutable values; term maps may be shared between them and are never
-    changed.  A subclass fixes the coefficient ring with class attributes:
+    changed.  Each of the two subclasses, :class:`QPolyUV` and
+    :class:`RPolyUV`, fixes its coefficient ring with class attributes:
     ``_to_ints`` turns an accepted scalar into a tuple (raising ``TypeError``
     otherwise), ``_value`` turns a tuple back into a value, ``_scalars``
     lists the scalar types that arithmetic promotes to constants, ``_zero``
     is the zero coefficient, ``_repr`` writes a tuple for ``repr`` and never
     fails, and ``_encode`` (from a tuple) and ``_decode`` (to a value) are
-    the coefficient JSON codec.  Every ring multiplies
-    through ``_qmul``.  Each subclass binds ``__mul__``, ``__rmul__`` and any
-    ``from_json`` in its own body, because ``bench/tracer.py`` wraps them
-    from the subclass's own ``__dict__``.
+    the coefficient JSON codec.  Both rings multiply through ``_qmul``.
+    Each subclass binds ``__mul__``, ``__rmul__`` and ``from_json`` in its
+    own body, because ``bench/tracer.py`` wraps them from the subclass's own
+    ``__dict__``.
     """
 
     __slots__ = ("_ints",)
@@ -225,35 +227,28 @@ class _SparseUV:
         return poly
 
     @classmethod
-    def _of(cls, terms: Mapping):
-        """Build from a coefficient map, whatever the subclass constructor takes."""
-        poly = object.__new__(cls)
-        _SparseUV.__init__(poly, terms)
-        return poly
-
-    @classmethod
     def zero(cls):
         return cls._raw({})
 
     @classmethod
     def one(cls):
-        return cls._of({(0, 0): 1})
+        return cls({(0, 0): 1})
 
     @classmethod
     def const(cls, c):
-        return cls._of({(0, 0): c})
+        return cls({(0, 0): c})
 
     @classmethod
     def var_u(cls):
-        return cls._of({(1, 0): 1})
+        return cls({(1, 0): 1})
 
     @classmethod
     def var_v(cls):
-        return cls._of({(0, 1): 1})
+        return cls({(0, 1): 1})
 
     @classmethod
     def monomial(cls, c, du: int, dv: int):
-        return cls._of({(du, dv): c})
+        return cls({(du, dv): c})
 
     @property
     def terms(self) -> dict:
@@ -360,7 +355,7 @@ class _SparseUV:
         for entry in obj:
             _json_object(entry, {"u", "v", "c"}, "each monomial needs integer 'u', 'v' and a coefficient 'c'")
             terms.append(((entry["u"], entry["v"]), decode(entry["c"])))
-        return cls._of(terms)
+        return cls(terms)
 
 
 # endregion
@@ -406,26 +401,21 @@ class QPolyUV(_SparseUV):
                     target[key] = (n // g, 0, 0, 0, d // g)
         return tuple(RPolyUV._raw(p) for p in parts)  # type: ignore[return-value]
 
-    def to_u_poly(self) -> "QPolyU":
-        """Forget v.  Lossless exactly when ``deg_v <= 0``.
-
-        Raises:
-            DegreeTooHigh: if any term involves v.
-        """
-        if any(dv for _, dv in self._ints):
-            raise DegreeTooHigh("polynomial depends on v, cannot convert to a u-polynomial")
-        return QPolyU._raw(self._ints)
-
     @classmethod
     def from_json(cls, obj) -> "QPolyUV":
         return cls._from_monomials(obj, "a quaternion polynomial")
 
 
-def v_slices(p: QPolyUV) -> tuple["QPolyU", "QPolyU"]:
+# bench/tracer.py's Tracer._plan wraps QPolyU.__mul__ and __rmul__ by name;
+# this alias goes when the tracer does (ROADMAP item 3).
+QPolyU = QPolyUV
+
+
+def v_slices(p: QPolyUV) -> tuple[QPolyUV, QPolyUV]:
     """Decompose ``p = p1(u)*v + p0(u)`` for polynomials of v-degree at most 1.
 
     Returns:
-        The pair ``(p1, p0)``.
+        The pair ``(p1, p0)`` of v-free polynomials.
 
     Raises:
         DegreeTooHigh: if some term has v-degree 2 or more.
@@ -435,10 +425,10 @@ def v_slices(p: QPolyUV) -> tuple["QPolyU", "QPolyU"]:
         if dv > 1:
             raise DegreeTooHigh(f"v-degree {dv} exceeds 1")
         slices[dv][(du, 0)] = c
-    return QPolyU._raw(slices[1]), QPolyU._raw(slices[0])
+    return QPolyUV._raw(slices[1]), QPolyUV._raw(slices[0])
 
 
-def _from_v_slices(p1: "QPolyU", p0: "QPolyU") -> QPolyUV:
+def _from_v_slices(p1: QPolyUV, p0: QPolyUV) -> QPolyUV:
     """``p1(u)*v + p0(u)``: the inverse of :func:`v_slices`."""
     ints = {(du, 1): c for (du, _), c in p1._ints.items()}
     ints.update(p0._ints)
@@ -447,85 +437,45 @@ def _from_v_slices(p1: "QPolyU", p0: "QPolyU") -> QPolyUV:
 
 # endregion
 
-# region univariate
+# region division
 
 
-class QPolyU(_SparseUV):
-    """Polynomial in u over the quaternions: the v-free case of the sparse core.
-
-    Built from its coefficients, low degree first.
-    """
-
-    __slots__ = ()
-    _to_ints = staticmethod(_quat_ints)
-    _value = staticmethod(Quaternion._raw)
-    _scalars = QPolyUV._scalars
-    _zero = _Q_ZERO
-    _repr = staticmethod(QPolyUV._repr)
-    _encode = staticmethod(_quat_json)
-    __mul__ = _SparseUV.__mul__
-    __rmul__ = _SparseUV.__rmul__
-    conj = QPolyUV.conj
-    #: Degree in u, or -1 for the zero polynomial.
-    degree = _SparseUV.deg_u
-    lead = property(QPolyUV.lead_coeff)
-
-    def __init__(self, coeffs: Iterable = ()):
-        if isinstance(coeffs, Mapping):
-            raise TypeError("QPolyU takes its coefficients low degree first, not a mapping")
-        super().__init__(((power, 0), c) for power, c in enumerate(coeffs))
-
-    @classmethod
-    def monomial(cls, c, power: int) -> "QPolyU":
-        return cls._of({(power, 0): c})
-
-    @classmethod
-    def var_v(cls):
-        raise DegreeTooHigh("a u-polynomial has no v")
-
-    def coeff(self, power: int) -> Quaternion:
-        return super().coeff(power, 0)
-
-    def eval(self, u0) -> Quaternion:
-        """Evaluate at a rational point."""
-        return super().eval(u0, 0)
-
-    def to_uv(self) -> QPolyUV:
-        return QPolyUV._raw(self._ints)
-
-
-def left_div_rem(a: QPolyU, b: QPolyU) -> tuple[QPolyU, QPolyU]:
-    """Divide so that ``a = b*q + r`` with ``deg r < deg b``.
+def left_div_rem(a: QPolyUV, b: QPolyUV) -> tuple[QPolyUV, QPolyUV]:
+    """Divide polynomials in u alone so that ``a = b*q + r`` with ``deg_u r < deg_u b``.
 
     The divisor sits on the left of the quotient.  Each step cancels the top
     of the remainder with ``lead(b).inverse() * lead(r)``, which is the only
     choice that works when coefficients do not commute.
 
     Raises:
-        TypeError: if ``a`` or ``b`` is not a :class:`QPolyU`.
+        TypeError: if ``a`` or ``b`` is not a :class:`QPolyUV`.
+        DegreeTooHigh: if ``a`` or ``b`` has a term in v.
         ZeroDivisionError: if ``b`` is the zero polynomial.
     """
     return _div_rem(a, b, left=True)
 
 
-def right_div_rem(a: QPolyU, b: QPolyU) -> tuple[QPolyU, QPolyU]:
-    """Divide so that ``a = q*b + r`` with ``deg r < deg b``.
+def right_div_rem(a: QPolyUV, b: QPolyUV) -> tuple[QPolyUV, QPolyUV]:
+    """Divide polynomials in u alone so that ``a = q*b + r`` with ``deg_u r < deg_u b``.
 
     Mirror of :func:`left_div_rem`; the two quotients differ in general.
 
     Raises:
-        TypeError: if ``a`` or ``b`` is not a :class:`QPolyU`.
+        TypeError: if ``a`` or ``b`` is not a :class:`QPolyUV`.
+        DegreeTooHigh: if ``a`` or ``b`` has a term in v.
         ZeroDivisionError: if ``b`` is the zero polynomial.
     """
     return _div_rem(a, b, left=False)
 
 
-def _div_rem(a: QPolyU, b: QPolyU, left: bool) -> tuple[QPolyU, QPolyU]:
-    if not (isinstance(a, QPolyU) and isinstance(b, QPolyU)):
-        raise TypeError(f"division takes QPolyU operands, got {type(a).__name__} and {type(b).__name__}")
+def _div_rem(a: QPolyUV, b: QPolyUV, left: bool) -> tuple[QPolyUV, QPolyUV]:
+    if not (isinstance(a, QPolyUV) and isinstance(b, QPolyUV)):
+        raise TypeError(f"division takes QPolyUV operands, got {type(a).__name__} and {type(b).__name__}")
+    if any(dv for _, dv in a._ints) or any(dv for _, dv in b._ints):
+        raise DegreeTooHigh("division takes polynomials in u alone")
     if not b:
         raise ZeroDivisionError("polynomial division by zero")
-    bt, db = b._ints, b.degree
+    bt, db = b._ints, b.deg_u
     inv = _inverse(bt[(db, 0)])
     monic = inv == _ONE
     lower = [(e, t) for (e, _), t in bt.items() if e != db]
@@ -547,7 +497,7 @@ def _div_rem(a: QPolyU, b: QPolyU, left: bool) -> tuple[QPolyU, QPolyU]:
                 del r[key]
             else:
                 r[key] = s
-    return QPolyU._raw(q), QPolyU._raw(r)
+    return QPolyUV._raw(q), QPolyUV._raw(r)
 
 
 # endregion

@@ -120,10 +120,10 @@ def _rationals_from_json(obj, size: int, message: str) -> tuple[Fraction, ...]:
 
 
 def _coerce(value) -> Fraction:
-    """An int or Fraction as a Fraction; anything else, floats included, is a TypeError."""
+    """An int or Fraction as a Fraction; anything else, floats and bools included, is a TypeError."""
     if type(value) is Fraction:
         return value
-    if isinstance(value, (int, Fraction)):
+    if isinstance(value, (int, Fraction)) and not isinstance(value, bool):
         return Fraction(value)
     raise TypeError(f"expected a rational number, got {type(value).__name__}")
 
@@ -343,10 +343,10 @@ class Quaternion:
 
 
 def _operand(value) -> tuple | None:
-    """The canonical tuple of a Quaternion, int or Fraction; None for any other type."""
+    """The canonical tuple of a Quaternion, int or Fraction; None for any other type, bool included."""
     if isinstance(value, Quaternion):
         return value._t
-    if isinstance(value, (int, Fraction)):
+    if isinstance(value, (int, Fraction)) and not isinstance(value, bool):
         n, d = _ratio_of(value)
         return (n, 0, 0, 0, d)
     return None

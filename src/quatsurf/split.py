@@ -54,7 +54,7 @@ from __future__ import annotations
 
 from .errors import NoProgress, NotDegenerate, PreconditionDegree
 from .qmat import Mat2, Vec2, _full_rank_witness, conj_transpose, is_degenerate
-from .qpoly import _from_v_slices, left_div_rem, right_div_rem, v_slices
+from .qpoly import QPolyUV, _from_v_slices, left_div_rem, right_div_rem, v_slices
 from .quat import _json_object, _Value
 
 
@@ -79,13 +79,13 @@ class SplitCertificate(_Value):
 def _factor_with_zero(a, b, c, d) -> tuple[tuple, tuple]:
     """Factor a matrix ``[[a, b], [c, d]]`` that has a zero entry, by inspection.
 
-    The factors have the entries' polynomial type.  The zero matrix factors
-    as ``x = (0, 0)``, ``y = (1, 0)``.  Otherwise degeneracy forces the
-    product of a zero entry's two neighbors to vanish, and the coefficient
-    ring has no zero divisors, so a whole row or column is zero.  When more
-    than one is, the first in the order below is read off.
+    The zero matrix factors as ``x = (0, 0)``, ``y = (1, 0)``.  Otherwise
+    degeneracy forces the product of a zero entry's two neighbors to vanish,
+    and the coefficient ring has no zero divisors, so a whole row or column
+    is zero.  When more than one is, the first in the order below is read
+    off.
     """
-    one, zero = type(a).one(), type(a).zero()
+    one, zero = QPolyUV.one(), QPolyUV.zero()
     if not (a or b or c or d):
         return (zero, zero), (one, zero)
     if not (c or d):
@@ -111,11 +111,11 @@ def _primitive(pair: tuple) -> tuple:
     while b:
         r = right_div_rem(a, b)[1]
         if r:
-            r = r._scaled(r.lead.inverse(), left=True)
+            r = r._scaled(r.lead_coeff().inverse(), left=True)
         a, b = b, r
-    if a.degree:
+    if a.deg_u:
         pair = tuple(right_div_rem(e, a)[0] for e in pair)
-    inv = next(e for e in pair if e).lead.inverse()
+    inv = next(e for e in pair if e).lead_coeff().inverse()
     return tuple(e._scaled(inv) for e in pair)
 
 
@@ -127,7 +127,7 @@ def _cofactor(slopes, consts, x: tuple) -> tuple[tuple, int] | None:
     proves row k of ``kron(x, y)`` equal to ``m``; the caller checks the
     other row.
     """
-    k = min((e.degree, k) for k, e in enumerate(x) if e)[1]
+    k = min((e.deg_u, k) for k, e in enumerate(x) if e)[1]
     y = []
     for j in (0, 1):
         (q1, r1), (q0, r0) = left_div_rem(slopes[2 * k + j], x[k]), left_div_rem(consts[2 * k + j], x[k])
@@ -140,14 +140,15 @@ def _cofactor(slopes, consts, x: tuple) -> tuple[tuple, int] | None:
 def _x_side(drivers, slopes, consts):
     """The candidate read off the first nonzero driver column, if division leaves no remainder.
 
-    x is the column's right-primitive part and y its :func:`_cofactor`; the
+    x is the column's right-primitive part, a pair of v-free polynomials
+    that is a factor as it stands, and y its :func:`_cofactor`; the
     candidate comes with the two positions ``(i, j)`` left unproven.
     """
     x = _primitive(next(col for col in (drivers[::2], drivers[1::2]) if any(col)))
     found = _cofactor(slopes, consts, x)
     if found:
         y, k = found
-        yield tuple(e.to_uv() for e in x), y, ((1 - k, 0), (1 - k, 1))
+        yield x, y, ((1 - k, 0), (1 - k, 1))
 
 
 def _candidates(drivers, slopes, consts):
@@ -161,7 +162,7 @@ def _candidates(drivers, slopes, consts):
     conjugated and swapped, and whose unproven positions are transposed.
     Then the x side, :func:`_x_side` on the matrix itself.
     """
-    # A Mat2 of u-polynomials serves: _full_rank_witness reads only term maps, conj_transpose conjugates.
+    # The slices are v-free QPolyUVs, so a row's slopes and constants make an ordinary Mat2.
     rows = ((slopes[k], slopes[k + 1], consts[k], consts[k + 1]) for k in (0, 2))
     if all(_full_rank_witness(Mat2(*row)) is None for row in rows):
         transposed = (conj_transpose(Mat2(*p)).entries() for p in (drivers, slopes, consts))

@@ -24,7 +24,6 @@ from quatsurf import (
     NotDegenerate,
     PolePoint,
     PreconditionDegree,
-    QPolyU,
     QPolyUV,
     Quaternion,
     RPolyUV,
@@ -65,11 +64,12 @@ def rand_nonzero_quat(rng: random.Random, **kw) -> Quaternion:
             return q
 
 
-def rand_qpolyu(rng: random.Random, max_deg: int = 3, **kw) -> QPolyU:
-    return QPolyU([rand_quat(rng, **kw) for _ in range(rng.randint(0, max_deg) + 1)])
+def rand_qpolyu(rng: random.Random, max_deg: int = 3, **kw) -> QPolyUV:
+    """A v-free polynomial with up to ``max_deg + 1`` coefficients in u, low degree first."""
+    return QPolyUV({(du, 0): rand_quat(rng, **kw) for du in range(rng.randint(0, max_deg) + 1)})
 
 
-def rand_nonzero_qpolyu(rng: random.Random, max_deg: int = 3, **kw) -> QPolyU:
+def rand_nonzero_qpolyu(rng: random.Random, max_deg: int = 3, **kw) -> QPolyUV:
     while True:
         p = rand_qpolyu(rng, max_deg, **kw)
         if not p.is_zero:
@@ -738,12 +738,12 @@ def _undo_on_factors(x: tuple[QPolyUV, QPolyUV], y: tuple[QPolyUV, QPolyUV], mov
     return x, (y[0] + y[1] * move[1], y[1])
 
 
-def _slopes(m: Mat2) -> tuple[QPolyU, QPolyU, QPolyU, QPolyU]:
+def _slopes(m: Mat2) -> tuple[QPolyUV, QPolyUV, QPolyUV, QPolyUV]:
     return tuple(v_slices(e)[0] for e in m.entries())  # type: ignore[return-value]
 
 
 def _measure(slopes) -> tuple[int, int]:
-    degrees = [s.degree for s in slopes if s]
+    degrees = [s.deg_u for s in slopes if s]
     if not degrees:
         return (0, -1)
     return (len(degrees), min(degrees))
@@ -780,16 +780,16 @@ def _case_v_free(cur: Mat2) -> list:
     strictly smaller degree than the pivot, so the minimal entry degree drops
     (or an entry dies and the zero-entry base case takes over).
     """
-    entries = {pos: _entry(cur, pos).to_u_poly() for pos in _POSITIONS}
-    pivot = min(_POSITIONS, key=lambda pos: (entries[pos].degree, _POSITIONS.index(pos)))
+    entries = {pos: _entry(cur, pos) for pos in _POSITIONS}
+    pivot = min(_POSITIONS, key=lambda pos: (entries[pos].deg_u, _POSITIONS.index(pos)))
     moves = [(op,) for op in _TO_22[pivot]]
     t = cur
     for move in moves:
         t = _apply_move(t, move)
-    q, _ = left_div_rem(t.m21.to_u_poly(), t.m22.to_u_poly())
+    q, _ = left_div_rem(t.m21, t.m22)
     if not q:
         raise NoProgress("v-free division step produced a zero quotient")
-    moves.append((_CO, q.to_uv()))
+    moves.append((_CO, q))
     return moves
 
 
@@ -827,7 +827,7 @@ def _case_v_bound(cur: Mat2) -> list:
             derived[sym] = _move_slopes(derived[sym[:-1]], sym[-1])
         slopes = derived[sym]
         if slopes[3] and slopes[2]:
-            candidates.append((slopes[3].degree, idx, sym, slopes))
+            candidates.append((slopes[3].deg_u, idx, sym, slopes))
     candidates.sort(key=lambda c: (c[0], c[1]))
     for _, _, sym, slopes in candidates:
         q, r = left_div_rem(slopes[2], slopes[3])
@@ -836,7 +836,7 @@ def _case_v_bound(cur: Mat2) -> list:
         new_s11 = slopes[0] - slopes[1] * q
         next_measure = _measure((new_s11, slopes[1], r, slopes[3]))
         if next_measure < cur_measure:
-            return [(op,) for op in sym] + [(_CO, q.to_uv())]
+            return [(op,) for op in sym] + [(_CO, q)]
     raise NoProgress("no symmetry and division step shrinks the v-dependence measure")
 
 

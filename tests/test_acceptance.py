@@ -108,10 +108,10 @@ def test_criterion_1_two_sided_division(capsys):
         a = rand_qpolyu(rng, max_deg=6, max_num=1000, max_den=1000)
         b = rand_nonzero_qpolyu(rng, max_deg=6, max_num=1000, max_den=1000)
         q, r = left_div_rem(a, b)
-        if b * q + r != a or r.degree >= b.degree:
+        if b * q + r != a or r.deg_u >= b.deg_u:
             failures.append(("left", k))
         q, r = right_div_rem(a, b)
-        if q * b + r != a or r.degree >= b.degree:
+        if q * b + r != a or r.deg_u >= b.deg_u:
             failures.append(("right", k))
     elapsed = time.perf_counter() - start
     if elapsed >= 5.0:
@@ -281,9 +281,7 @@ def test_criterion_9_json_and_determinism(capsys, tmp_path):
 
     for _ in range(30):
         check(rand_quat(rng), Quaternion.from_json, "quat")
-        p = rand_qpolyu(rng)
-        if QPolyUV.from_json(p.to_uv().to_json()).to_u_poly() != p:
-            failures.append(("qpolyu", p))
+        check(rand_qpolyu(rng), QPolyUV.from_json, "qpolyu")
         check(rand_qpolyuv(rng), QPolyUV.from_json, "qpolyuv")
         check(rand_rpolyuv(rng), RPolyUV.from_json, "rpolyuv")
         v = rand_vec2(rng)

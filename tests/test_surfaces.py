@@ -19,7 +19,7 @@ from quatsurf import (
     DegenerateFamily,
     InvalidInput,
     PolePoint,
-    QPolyU,
+    QPolyUV,
     Quadric4,
     Quaternion,
     RPolyUV,
@@ -200,7 +200,7 @@ def test_circles_reject_float_coordinates():
     "call",
     [
         lambda: RPolyUV.var_u().eval(0.1, 0),
-        lambda: QPolyU.var_u().eval(0.5),
+        lambda: QPolyUV.var_u().eval(0.5, 0),
         lambda: RPolyUV.var_u() / 0.5,
         lambda: XY_CIRCLE.point(0.5),
         lambda: coordinate_curve(SurfaceSpec.family_e(XY_CIRCLE, XZ_CIRCLE), "u", 0, [0, 0.5]),
@@ -224,6 +224,29 @@ def test_float_arguments_are_rejected(call):
     # A float digit count is rejected too, before it renders in floats or overflows.
     with pytest.raises(TypeError):
         call()
+
+
+def test_bool_values_are_rejected():
+    # bool is a subclass of int, but True is no rational value: taken as 1 it
+    # would print as "1.000" or sit on a circle as the coordinate 1.
+    points = [(k, 0, 0) for k in range(4)] + [(True, 1, 0)]
+    calls = [
+        lambda: render_decimal(True, 3),
+        lambda: export_csv([[(True, Fraction(0), Fraction(0))]], 2),
+        lambda: Quaternion(True),
+        lambda: Quaternion(1, False),
+        lambda: QPolyUV({(0, 0): True}),
+        lambda: QPolyUV.var_u() * True,
+        lambda: RPolyUV.const(False),
+        lambda: is_circle_or_line(points),
+    ]
+    for call in calls:
+        with pytest.raises(TypeError, match="got bool$"):
+            call()
+    # As an operand a bool is refused, so it equals no quaternion.
+    assert (Quaternion(1) == True) is False and Quaternion(0) != False  # noqa: E712
+    with pytest.raises(TypeError):
+        Quaternion(1) + True
 
 
 @pytest.mark.parametrize(

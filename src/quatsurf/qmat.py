@@ -109,8 +109,7 @@ def col_op(m: Mat2, x: QPolyUV) -> Mat2:
     Preserves both degeneracy and the rank-one property: if
     ``col_op(m, x) == kron(a, b)`` then ``m == kron(a, (b1 + b2*x, b2))``.
     """
-    x = x if isinstance(x, QPolyUV) else QPolyUV.const(x)
-    return Mat2(m.m11._add_mul(m.m12, x, -1), m.m12, m.m21._add_mul(m.m22, x, -1), m.m22)
+    return Mat2(m.m11 - m.m12 * x, m.m12, m.m21 - m.m22 * x, m.m22)
 
 
 def swap_rows(m: Mat2) -> Mat2:

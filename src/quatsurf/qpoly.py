@@ -16,13 +16,13 @@ pairs ``(du, dv)`` to tuples ``(w, x, y, z, d)`` for the quaternion
 ``(w + xi + yj + zk)/d``, with the rational ``n/d`` stored as
 ``(n, 0, 0, 0, d)``, so a real polynomial's map is also a quaternionic one.
 A stored tuple has ``d > 0``, entries whose gcd is 1 and a nonzero
-numerator, so equal polynomials have equal maps.  Sums,
-products, conjugates and division steps run on these tuples, with a
-denominator per coefficient, never per polynomial; each output coefficient is
-canonicalized once.  A quaternion product takes 16 integer multiplications
-per term pair.
-Scaling by one quaternion on either side (``_scaled``) skips the
-accumulation: one Hamilton product per term, each canonicalized on its own.
+numerator, so equal polynomials have equal maps.  Sums, products,
+conjugates and division steps run on these tuples, with a denominator per
+coefficient, never per polynomial; each output coefficient is canonicalized
+once.  A product of two polynomials (``_qmul``) takes 16 integer
+multiplications per term pair.  A constant of either ring, on either side,
+and a real polynomial's rational divisor scale through ``_scaled``: one
+Hamilton product per term, each canonicalized on its own.
 A division step updates only the terms it changes: its top term cancels and
 is dropped, and each lower term of the divisor changes one term of the
 remainder, by one Hamilton product subtracted in place.  A monic divisor
@@ -51,10 +51,6 @@ from .quat import Quaternion, _canon, _coerce as _coerce_rational, _int_repr, _i
 from .quat import _quat_json
 from .quat import _ONE, _hamilton, _product, _ratio_to_str, _sum, rational_from_str
 
-_Q_ZERO = Quaternion.zero()
-_ZERO_FR = Fraction(0)
-
-
 # region integer coefficients
 
 
@@ -74,18 +70,15 @@ def _terms(out: dict) -> dict:
     return {key: c for key, t in out.items() if (c := _canon(t)) is not None}
 
 
-def _qmul(p: dict, q: dict, acc: dict | None = None, sign: int = 1) -> dict:
-    """``acc + sign*(p*q)`` on quaternion term maps, with ``p`` on the left.
+def _qmul(p: dict, q: dict) -> dict:
+    """``p*q`` on quaternion term maps, with ``p`` on the left.
 
-    Integers accumulate per exponent pair, starting from ``acc`` (empty by
-    default), over the product of the two denominators or, where those differ
-    between terms, their lcm; each output coefficient is then reduced by its
-    gcd once (:func:`_terms`), so a fused ``a - b*c`` costs one pass and one
-    canonicalization.  Each term pair costs 16 integer multiplications.
+    Integers accumulate per exponent pair over the product of the two
+    denominators or, where those differ between terms, their lcm; each output
+    coefficient is then reduced by its gcd once (:func:`_terms`).  Each term
+    pair costs 16 integer multiplications.
     """
-    if sign < 0:
-        p = {key: _neg(c) for key, c in p.items()}
-    out: dict = {} if acc is None else dict(acc)
+    out: dict = {}
     get = out.get
     for (u1, v1), (a0, a1, a2, a3, da) in p.items():
         for (u2, v2), (b0, b1, b2, b3, db) in q.items():
@@ -193,10 +186,11 @@ class _SparseUV:
     :class:`RPolyUV`, fixes its coefficient ring with class attributes:
     ``_to_ints`` turns an accepted scalar into a tuple (raising ``TypeError``
     otherwise), ``_value`` turns a tuple back into a value, ``_scalars``
-    lists the scalar types that arithmetic promotes to constants, ``_zero``
-    is the zero coefficient, ``_repr`` writes a tuple for ``repr`` and never
-    fails, and ``_encode`` (from a tuple) and ``_decode`` (to a value) are
-    the coefficient JSON codec.  Both rings multiply through ``_qmul``.
+    lists the scalar types that sums promote to constants and products
+    scale by, ``_zero`` is the zero coefficient, ``_repr`` writes a tuple for
+    ``repr`` and never fails, and ``_encode`` (from a tuple) and ``_decode``
+    (to a value) are the coefficient JSON codec.  Both rings multiply two
+    polynomials through ``_qmul`` and scale by a scalar through ``_scaled``.
     Each subclass binds ``__mul__``, ``__rmul__`` and ``from_json`` in its
     own body, because ``bench/tracer.py`` wraps them from the subclass's own
     ``__dict__``.
@@ -312,26 +306,23 @@ class _SparseUV:
 
     def __mul__(self, other):
         if isinstance(other, self._scalars):
-            other = self.const(other)
+            return self._scaled(self._to_ints(other))
         if not isinstance(other, type(self)):
             return NotImplemented
         return self._raw(_qmul(self._ints, other._ints))
 
     def __rmul__(self, other):
         if isinstance(other, self._scalars):
-            return self._raw(_qmul(self.const(other)._ints, self._ints))
+            return self._scaled(self._to_ints(other), left=True)
         return NotImplemented
 
-    def _add_mul(self, b, c, sign: int = 1):
-        """``self + sign*(b*c)`` for polynomials of this type, in one fused pass."""
-        return self._raw(_qmul(b._ints, c._ints, self._ints, sign))
-
-    def _scaled(self, c: Quaternion, left: bool = False):
-        """``self*c``, or ``c*self`` with ``left``, for a nonzero quaternion ``c``: one Hamilton product per term, none accumulated."""
-        t, ints = c._t, self._ints
+    def _scaled(self, t: tuple, left: bool = False):
+        """``self*c``, or ``c*self`` with ``left``, for the scalar ``c`` of canonical tuple ``t``: one Hamilton product per term, none accumulated."""
+        if not any(t[:-1]):
+            return self.zero()
         if left:
-            return self._raw({key: _product(t, a) for key, a in ints.items()})
-        return self._raw({key: _product(a, t) for key, a in ints.items()})
+            return self._raw({key: _product(t, a) for key, a in self._ints.items()})
+        return self._raw({key: _product(a, t) for key, a in self._ints.items()})
 
     def eval(self, u0, v0):
         """Evaluate at a rational point."""
@@ -370,7 +361,7 @@ class QPolyUV(_SparseUV):
     _to_ints = staticmethod(_quat_ints)
     _value = staticmethod(Quaternion._raw)
     _scalars = (Quaternion, int, Fraction)
-    _zero = _Q_ZERO
+    _zero = Quaternion.zero()
     _repr = staticmethod(lambda t: repr(Quaternion._raw(t)))
     _encode = staticmethod(_quat_json)
     _decode = staticmethod(Quaternion.from_json)
@@ -518,7 +509,7 @@ class RPolyUV(_SparseUV):
     _to_ints = staticmethod(lambda value: Quaternion(value)._t)
     _value = staticmethod(lambda t: Fraction(t[0], t[4]))
     _scalars = (int, Fraction)
-    _zero = _ZERO_FR
+    _zero = Fraction(0)
     _repr = staticmethod(lambda t: f"Fraction({_int_repr(t[0])}, {_int_repr(t[4])})")
     _encode = staticmethod(lambda t: _ratio_to_str(t[0], t[4]))
     _decode = staticmethod(rational_from_str)
@@ -526,7 +517,7 @@ class RPolyUV(_SparseUV):
     __rmul__ = _SparseUV.__rmul__
 
     def __truediv__(self, other):
-        return RPolyUV._raw(_rqmul({(0, 0): _inverse(Quaternion(other)._t)}, self._ints))
+        return self._scaled(_inverse(Quaternion(other)._t))
 
     def to_quat(self) -> QPolyUV:
         """Embed as a quaternionic polynomial with real coefficients: the same term map."""

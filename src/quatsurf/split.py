@@ -111,11 +111,11 @@ def _primitive(pair: tuple) -> tuple:
     while b:
         r = right_div_rem(a, b)[1]
         if r:
-            r = r._scaled(r.lead_coeff().inverse(), left=True)
+            r = r._scaled(r.lead_coeff().inverse()._t, left=True)
         a, b = b, r
     if a.deg_u:
         pair = tuple(right_div_rem(e, a)[0] for e in pair)
-    inv = next(e for e in pair if e).lead_coeff().inverse()
+    inv = next(e for e in pair if e).lead_coeff().inverse()._t
     return tuple(e._scaled(inv) for e in pair)
 
 

@@ -80,6 +80,13 @@ def _point(ints) -> tuple[Fraction, ...]:
     return tuple([Fraction(n, d) for n in ints[:-1]])
 
 
+def _count(n, what: str) -> int:
+    """``n`` if it is an int and not a bool, which Python counts as one; else a TypeError naming ``what``."""
+    if isinstance(n, bool) or not isinstance(n, int):
+        raise TypeError(f"{what} must be an int, got {type(n).__name__}")
+    return n
+
+
 # region circles
 
 
@@ -395,8 +402,8 @@ def stereo_inv(p) -> Point4:
 
 
 def grid_params(n: int) -> list[Fraction]:
-    """n tan-half-angle samples in steps of 1, centered on 0."""
-    if n < 1:
+    """n tan-half-angle samples in steps of 1, centered on 0, for an int ``n`` of at least 1."""
+    if _count(n, "the number of samples") < 1:
         raise InvalidInput("need at least one sample")
     return [Fraction(2 * k - (n - 1), 2) for k in range(n)]
 
@@ -472,7 +479,7 @@ def _cell_grid(spec: SurfaceSpec, n: int) -> list:
             "implicit surfaces cannot be sampled on a parameter grid; "
             "export the quartic instead"
         )
-    if n < 2:
+    if _count(n, "the grid size") < 2:
         raise InvalidInput("need at least a 2x2 grid")
     ts = grid_params(n)
     alphas = [spec.alpha._ints(t) for t in ts]
@@ -557,9 +564,7 @@ def _decimal(digits: int):
             prints, and from the renderer, for a result that it cannot print.
         TypeError: if ``digits`` is not an int or is a bool.
     """
-    if isinstance(digits, bool) or not isinstance(digits, int):
-        raise TypeError(f"the number of decimal digits must be an int, got {type(digits).__name__}")
-    if digits < 0:
+    if _count(digits, "the number of decimal digits") < 0:
         raise InvalidInput("the number of decimal digits must be nonnegative")
     limit = sys.get_int_max_str_digits()
     if limit and digits > limit:

@@ -176,10 +176,10 @@ def test_is_pythagorean_matches_the_fraction_oracle(case):
 
 
 def add_mul_route(t: PyTuple) -> RPolyUV:
-    """``x1**2 + ... + x5**2 - x6**2`` as ``is_pythagorean`` built it before the fused squares."""
+    """``x1**2 + ... + x5**2 - x6**2`` from plain products and differences, as ``is_pythagorean`` built it before the fused squares."""
     acc = t.x6 * t.x6
     for p in (t.x1, t.x2, t.x3, t.x4, t.x5):
-        acc = acc._add_mul(p, p, -1)
+        acc = acc - p * p
     return -acc
 
 

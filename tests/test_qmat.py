@@ -12,6 +12,7 @@ from quatsurf import (
     Mat2,
     QPolyUV,
     Quaternion,
+    RPolyUV,
     Vec2,
     col_op,
     conj_transpose,
@@ -69,8 +70,11 @@ def test_col_op_identity_and_example():
     moved = col_op(m, ONE_P)
     assert (moved.m11, moved.m12) == (ONE_P - V, V)
     assert (moved.m21, moved.m22) == (U - U * V, U * V)
-    # A scalar stands for the constant polynomial.
+    # A scalar stands for the constant polynomial; any other operand is refused.
     assert col_op(m, 1) == col_op(m, ONE) == moved
+    for other in (0.5, True, RPolyUV.var_u(), "u"):
+        with pytest.raises(TypeError):
+            col_op(m, other)
 
 
 def test_col_op_split_recovery():

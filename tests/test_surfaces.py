@@ -538,6 +538,16 @@ def test_grid_params_frozen():
         grid_params(0)
 
 
+@pytest.mark.parametrize("count", [True, False, 2.0, Fraction(3)], ids=["true", "false", "float", "fraction"])
+def test_sample_counts_must_be_ints(count):
+    # A bool is not read as 1 or 0, and a float or Fraction count is refused
+    # by name before any range check, not by range() deep inside.
+    spec = SurfaceSpec.family_e(XY_CIRCLE, XZ_CIRCLE)
+    for call in (lambda: grid_params(count), lambda: sample_grid(spec, count)):
+        with pytest.raises(TypeError, match=f"must be an int, got {type(count).__name__}$"):
+            call()
+
+
 def test_coordinate_curve_family_e():
     spec = SurfaceSpec.family_e(XY_CIRCLE, XZ_CIRCLE)
     samples = [0, 1, -1]

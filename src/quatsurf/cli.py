@@ -178,75 +178,76 @@ def _cmd_check_circles(args) -> int:
     return 0
 
 
-def _add_out(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--out", default=None, metavar="FILE", help="output file (default: stdout)")
+# name -> (help, handler, argument specs), in help order; a spec is (flag,
+# add_argument keywords), and every subcommand also takes --out.
+_SUBCOMMANDS = {
+    "split": ("factor a degenerate matrix into a rank-one certificate", _cmd_split, (
+        ("--in", dict(dest="infile", required=True, metavar="M.json", help="2x2 matrix file")),
+        ("--normalize", dict(
+            action="store_true",
+            help="output the normalized certificate, the stable form; without it the output is a verified "
+            "certificate whose form may change between versions",
+        )),
+    )),
+    "degenerate": ("decide whether a matrix is degenerate", _cmd_degenerate, (
+        ("--in", dict(dest="infile", required=True, metavar="M.json", help="2x2 matrix file")),
+    )),
+    "verify-tuple": ("check a 6-tuple by identity and by matrix", _cmd_verify_tuple, (
+        ("--in", dict(dest="infile", required=True, metavar="T.json", help="6-tuple file")),
+    )),
+    "tuple-from-pair": ("build a 6-tuple from two polynomials", _cmd_tuple_from_pair, (
+        ("--a", dict(required=True, metavar="A.json", help="first polynomial file")),
+        ("--b", dict(required=True, metavar="B.json", help="second polynomial file")),
+    )),
+    "gen-surface": ("sample a surface to OBJ, CSV or JSON", _cmd_gen_surface, (
+        ("--family", dict(required=True, choices=("e", "c", "d"))),
+        ("--spec", dict(required=True, metavar="S.json", help="surface file")),
+        ("--grid", dict(
+            type=_int_at_least(2), default=9, metavar="N", help="grid size per axis, at least 2 (default 9)",
+        )),
+        ("--format", dict(choices=("obj", "csv", "json"), default="json")),
+        ("--digits", dict(type=_int_at_least(0), default=12, help="decimal digits for obj/csv (default 12)")),
+    )),
+    "check-circles": ("test sampled coordinate curves for circularity", _cmd_check_circles, (
+        ("--family", dict(required=True, choices=("e", "c"))),
+        ("--spec", dict(required=True, metavar="S.json", help="surface file")),
+        ("--curves", dict(
+            type=_int_at_least(1), default=3, metavar="K", help="curves per direction, at least 1 (default 3)",
+        )),
+        ("--samples", dict(
+            type=_int_at_least(5), default=7, metavar="P", help="samples per curve, at least 5 (default 7)",
+        )),
+    )),
+}
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(name: str | None = None) -> argparse.ArgumentParser:
+    """The argument parser, with every subcommand or with ``name`` alone.
+
+    ``main`` passes the subcommand that ``argv[0]`` names, so a run builds
+    only the one it uses: the other five were most of a run's parsing cost.
+    The output is the same, because once the first token names a subcommand,
+    argparse prints only that subcommand's help or messages that list no
+    choices.  Any other argv gets the full tree.
+    """
     parser = _Parser(
         prog="quatsurf",
         description="exact quaternion polynomial factorization and circle-woven surfaces",
     )
     commands = parser.add_subparsers(dest="command", required=True, metavar="command")
-
-    p = commands.add_parser("split", help="factor a degenerate matrix into a rank-one certificate")
-    p.add_argument("--in", dest="infile", required=True, metavar="M.json", help="2x2 matrix file")
-    p.add_argument(
-        "--normalize",
-        action="store_true",
-        help="output the normalized certificate, the stable form; without it the output is a verified "
-        "certificate whose form may change between versions",
-    )
-    _add_out(p)
-    p.set_defaults(func=_cmd_split)
-
-    p = commands.add_parser("degenerate", help="decide whether a matrix is degenerate")
-    p.add_argument("--in", dest="infile", required=True, metavar="M.json", help="2x2 matrix file")
-    _add_out(p)
-    p.set_defaults(func=_cmd_degenerate)
-
-    p = commands.add_parser("verify-tuple", help="check a 6-tuple by identity and by matrix")
-    p.add_argument("--in", dest="infile", required=True, metavar="T.json", help="6-tuple file")
-    _add_out(p)
-    p.set_defaults(func=_cmd_verify_tuple)
-
-    p = commands.add_parser("tuple-from-pair", help="build a 6-tuple from two polynomials")
-    p.add_argument("--a", required=True, metavar="A.json", help="first polynomial file")
-    p.add_argument("--b", required=True, metavar="B.json", help="second polynomial file")
-    _add_out(p)
-    p.set_defaults(func=_cmd_tuple_from_pair)
-
-    p = commands.add_parser("gen-surface", help="sample a surface to OBJ, CSV or JSON")
-    p.add_argument("--family", required=True, choices=("e", "c", "d"))
-    p.add_argument("--spec", required=True, metavar="S.json", help="surface file")
-    p.add_argument(
-        "--grid", type=_int_at_least(2), default=9, metavar="N",
-        help="grid size per axis, at least 2 (default 9)",
-    )
-    p.add_argument("--format", choices=("obj", "csv", "json"), default="json")
-    p.add_argument("--digits", type=_int_at_least(0), default=12, help="decimal digits for obj/csv (default 12)")
-    _add_out(p)
-    p.set_defaults(func=_cmd_gen_surface)
-
-    p = commands.add_parser("check-circles", help="test sampled coordinate curves for circularity")
-    p.add_argument("--family", required=True, choices=("e", "c"))
-    p.add_argument("--spec", required=True, metavar="S.json", help="surface file")
-    p.add_argument(
-        "--curves", type=_int_at_least(1), default=3, metavar="K",
-        help="curves per direction, at least 1 (default 3)",
-    )
-    p.add_argument(
-        "--samples", type=_int_at_least(5), default=7, metavar="P",
-        help="samples per curve, at least 5 (default 7)",
-    )
-    _add_out(p)
-    p.set_defaults(func=_cmd_check_circles)
-
+    for command, (help_text, func, specs) in _SUBCOMMANDS.items():
+        if name is None or command == name:
+            p = commands.add_parser(command, help=help_text)
+            for flag, options in specs:
+                p.add_argument(flag, **options)
+            p.add_argument("--out", default=None, metavar="FILE", help="output file (default: stdout)")
+            p.set_defaults(func=func)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = build_parser(argv[0] if argv and argv[0] in _SUBCOMMANDS else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -1,5 +1,6 @@
 """End-to-end runs of the command-line interface through ``main``."""
 
+import argparse
 import contextlib
 import io
 import json
@@ -27,6 +28,7 @@ from quatsurf import (
     tuple_from_pair,
     tuple_to_matrix,
 )
+from quatsurf import cli
 from quatsurf.cli import main
 from quatsurf.quat import I, Quaternion
 
@@ -314,10 +316,16 @@ def test_usage_errors_exit_2(capsys):
     assert_usage_error(run(capsys, "split", "--in", "m.json", "--no-such-flag"))
 
 
+_NAMES = ("split", "degenerate", "verify-tuple", "tuple-from-pair", "gen-surface", "check-circles")
+
+
 def test_help_is_not_a_usage_error(capsys):
-    for argv in ((), ("split",), ("check-circles",)):
-        rc, out, err = run(capsys, *argv, "--help")
-        assert rc == 0 and out.startswith("usage: quatsurf") and err == ""
+    rc, out, err = run(capsys, "--help")
+    assert rc == 0 and out.startswith("usage: quatsurf") and err == ""
+    assert set(_NAMES) <= set(out.split())
+    for name in _NAMES:
+        rc, out, err = run(capsys, name, "--help")
+        assert rc == 0 and out.startswith(f"usage: quatsurf {name} ") and err == ""
 
 
 def test_negative_digits_is_usage_error(e_spec_file, capsys):
@@ -513,3 +521,69 @@ def test_any_json_document_ends_cleanly(data):
     if rc == 1:
         lines = err.getvalue().splitlines()
         assert len(lines) == 1 and "error" in json.loads(lines[0])
+
+
+def _subparsers(parser):
+    """The subcommand name -> parser map that ``parser`` registered."""
+    (action,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return action.choices
+
+
+class _UsageMessage(Exception):
+    pass
+
+
+def test_one_subcommand_parses_as_the_full_tree(monkeypatch):
+    # Only the full tree ever prints the top-level help and the list of
+    # choices; a one-subcommand parser must match it everywhere else.
+    def error(self, message):
+        raise _UsageMessage(message)
+
+    monkeypatch.setattr(cli._Parser, "error", error)
+    full = cli.build_parser()
+    assert tuple(_subparsers(full)) == _NAMES
+    for name in _NAMES:
+        one = _subparsers(cli.build_parser(name))
+        assert tuple(one) == (name,) and one[name].format_help() == _subparsers(full)[name].format_help()
+    for argv, _ in _COMMANDS:
+        argv = ["doc.json" if arg == "{}" else arg for arg in argv]
+        one = cli.build_parser(argv[0])
+        assert one.parse_args(argv) == full.parse_args(argv)
+        # A missing first flag (--in for the matrix and tuple commands), an
+        # unknown flag, and a grid below its floor or a flag the command lacks.
+        for bad in (argv[:1] + argv[3:], argv + ["--no-such-flag"], argv + ["--grid", "1"]):
+            messages = []
+            for parser in (one, full):
+                with pytest.raises(_UsageMessage) as caught:
+                    parser.parse_args(bad)
+                messages.append(str(caught.value))
+            assert messages[0] == messages[1]
+
+
+def test_main_builds_only_the_subcommand_it_runs(monkeypatch, tmp_path, capsys):
+    built = []
+    real = cli.build_parser
+
+    def spy(name=None):
+        parser = real(name)
+        built.append(tuple(_subparsers(parser)))
+        return parser
+
+    monkeypatch.setattr(cli, "build_parser", spy)
+    eye = Mat2(QPolyUV.const(1), QPolyUV.zero(), QPolyUV.zero(), QPolyUV.const(1))
+    path = write_json(tmp_path / "eye.json", eye.to_json())
+    rc, out, err = run(capsys, "split", "--in", path)
+    assert rc == 1 and json.loads(err)["error"] == "NotDegenerate"
+    assert built == [("split",)]
+    for argv in ((), ("--help",), ("--", "split"), ("bogus",)):
+        built.clear()
+        assert run(capsys, *argv)[0] in (0, 2)
+        assert built == [_NAMES]
+    # argv from sys.argv, a tuple and a generator all reach the same parser.
+    monkeypatch.setattr(sys, "argv", ["quatsurf", "degenerate", "--in", path])
+    argvs = (None, ("degenerate", "--in", path), (arg for arg in ("degenerate", "--in", path)))
+    for argv in argvs:
+        built.clear()
+        rc = main() if argv is None else main(argv)
+        assert rc == 0 and json.loads(capsys.readouterr().out) == {"degenerate": False}
+        assert built == [("degenerate",)]

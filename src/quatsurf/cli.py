@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from json.encoder import encode_basestring_ascii as _quote
 
 from .errors import InvalidInput, QuatsurfError, TooFewPoints
 from .pythagorean import PyTuple, is_pythagorean, tuple_from_pair, tuple_to_matrix
@@ -55,7 +56,61 @@ def _load_json(path: str):
 
 
 def _dump(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    """``json.dumps(obj, sort_keys=True, indent=2) + "\\n"``, byte for byte.
+
+    With ``indent`` set, ``json`` skips its C encoder for a generator-based
+    one in pure Python, which took about a tenth of ``main``'s time.  This
+    writer puts the tokens of non-empty str-keyed dicts, lists, tuples,
+    strs, ints, bools and None in one list and joins them once.  Any other
+    value, empty containers and dicts with a non-str key included, goes
+    through ``json.dumps`` itself, so a float prints as json prints it and
+    an unsupported type raises json's ``TypeError``.
+    """
+    out = []
+    _write(obj, out, "\n")
+    out.append("\n")
+    return "".join(out)
+
+
+def _write(value, out: list, newline: str) -> None:
+    """Append the tokens of ``value``; ``newline`` is a line break and the current indent."""
+    if isinstance(value, str):
+        out.append(_quote(value))
+    elif value is None:
+        out.append("null")
+    elif value is True:
+        out.append("true")
+    elif value is False:
+        out.append("false")
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    elif isinstance(value, (list, tuple)) and value:
+        inner = newline + "  "
+        sep = "[" + inner
+        for item in value:
+            out.append(sep)
+            _write(item, out, inner)
+            sep = "," + inner
+        out.append(newline + "]")
+    elif isinstance(value, dict) and value:
+        start = len(out)
+        inner = newline + "  "
+        sep = "{" + inner
+        for key in sorted(value):
+            if not isinstance(key, str):
+                del out[start:]
+                _write_json(value, out, newline)
+                return
+            out.append(sep + _quote(key) + ": ")
+            _write(value[key], out, inner)
+            sep = "," + inner
+        out.append(newline + "}")
+    else:
+        _write_json(value, out, newline)
+
+
+def _write_json(value, out: list, newline: str) -> None:
+    out.append(json.dumps(value, sort_keys=True, indent=2).replace("\n", newline))
 
 
 def _emit(payload: str, out_path: str | None) -> None:
@@ -221,33 +276,52 @@ _SUBCOMMANDS = {
 }
 
 
-def build_parser(name: str | None = None) -> argparse.ArgumentParser:
-    """The argument parser, with every subcommand or with ``name`` alone.
+def _add_arguments(parser: argparse.ArgumentParser, name: str) -> argparse.ArgumentParser:
+    """Give ``parser`` the arguments of subcommand ``name``, ``--out`` and its handler."""
+    _, func, specs = _SUBCOMMANDS[name]
+    for flag, options in specs:
+        parser.add_argument(flag, **options)
+    parser.add_argument("--out", default=None, metavar="FILE", help="output file (default: stdout)")
+    parser.set_defaults(func=func)
+    return parser
 
-    ``main`` passes the subcommand that ``argv[0]`` names, so a run builds
-    only the one it uses: the other five were most of a run's parsing cost.
-    The output is the same, because once the first token names a subcommand,
-    argparse prints only that subcommand's help or messages that list no
-    choices.  Any other argv gets the full tree.
+
+def build_parser() -> argparse.ArgumentParser:
+    """The full argument parser, with a subparser for every subcommand.
+
+    ``main`` builds it only when ``argv[0]`` names no subcommand (empty
+    argv, ``--help``, ``--``, an unknown name), since only this tree prints
+    the top-level help and the list of choices.
     """
     parser = _Parser(
         prog="quatsurf",
         description="exact quaternion polynomial factorization and circle-woven surfaces",
     )
     commands = parser.add_subparsers(dest="command", required=True, metavar="command")
-    for command, (help_text, func, specs) in _SUBCOMMANDS.items():
-        if name is None or command == name:
-            p = commands.add_parser(command, help=help_text)
-            for flag, options in specs:
-                p.add_argument(flag, **options)
-            p.add_argument("--out", default=None, metavar="FILE", help="output file (default: stdout)")
-            p.set_defaults(func=func)
+    for name, (help_text, _, _) in _SUBCOMMANDS.items():
+        _add_arguments(commands.add_parser(name, help=help_text), name)
     return parser
 
 
+def _command_parser(name: str) -> argparse.ArgumentParser:
+    """The parser of subcommand ``name`` alone, built as ``build_parser`` builds its subparser."""
+    return _add_arguments(_Parser(prog=f"quatsurf {name}"), name)
+
+
 def main(argv=None) -> int:
+    """Run one subcommand; return its exit code.
+
+    When ``argv[0]`` names a subcommand, only that subcommand's parser is
+    built, and it parses the rest of argv: argparse builds the full tree's
+    subparser the same way, so help, parsed values and usage messages are
+    the same, at a fraction of the cost of building all six.  Any other
+    argv goes to the full tree from ``build_parser``.
+    """
     argv = sys.argv[1:] if argv is None else list(argv)
-    parser = build_parser(argv[0] if argv and argv[0] in _SUBCOMMANDS else None)
+    if argv and argv[0] in _SUBCOMMANDS:
+        parser, argv = _command_parser(argv[0]), argv[1:]
+    else:
+        parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -307,6 +307,52 @@ def reference_circle_or_line(points) -> bool:
 
 # endregion
 
+# region reference circle test by the quaternion cross-ratio
+
+
+def _hamilton(p, q):
+    """Product of quaternions given as (w, x, y, z) tuples."""
+    a0, a1, a2, a3 = p
+    b0, b1, b2, b3 = q
+    return (
+        a0 * b0 - a1 * b1 - a2 * b2 - a3 * b3,
+        a0 * b1 + a1 * b0 + a2 * b3 - a3 * b2,
+        a0 * b2 - a1 * b3 + a2 * b0 + a3 * b1,
+        a0 * b3 + a1 * b2 - a2 * b1 + a3 * b0,
+    )
+
+
+def _q_sub(p, q):
+    return tuple(x - y for x, y in zip(p, q))
+
+
+def _q_conj(p):
+    return (p[0], -p[1], -p[2], -p[3])
+
+
+def reference_cross_ratio_circle(points) -> bool:
+    """Whether distinct 3-space points lie on one circle or line, by the quaternion cross-ratio.
+
+    Each point is the pure quaternion ``(0, x, y, z)``.  Four distinct points
+    ``a, b, c, p`` lie on one circle or line exactly when the cross-ratio
+    ``(a - c)(b - c)^-1 (b - p)(a - p)^-1`` is real.  Dropping the positive
+    scales ``|b - c|^2`` and ``|a - p|^2``, with ``K = (a - c) conj(b - c)``
+    each further point ``p`` passes when ``K (b - p) conj(a - p)`` has zero
+    imaginary part.  Plain ``Fraction`` arithmetic, for any number of points.
+    """
+    pts = [(Fraction(0), *(Fraction(c) for c in p)) for p in points]
+    assert len(pts) >= 3 and len(set(pts)) == len(pts)
+    a, b, c = pts[:3]
+    k = _hamilton(_q_sub(a, c), _q_conj(_q_sub(b, c)))
+    for p in pts[3:]:
+        r = _hamilton(_hamilton(k, _q_sub(b, p)), _q_conj(_q_sub(a, p)))
+        if any(r[1:]):
+            return False
+    return True
+
+
+# endregion
+
 # region reference degeneracy test by the complex embedding
 
 # Complex polynomials below are dicts from packed exponents du*base + dv to

@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import tempfile
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -535,7 +536,8 @@ class _UsageMessage(Exception):
 
 def test_one_subcommand_parses_as_the_full_tree(monkeypatch):
     # Only the full tree ever prints the top-level help and the list of
-    # choices; a one-subcommand parser must match it everywhere else.
+    # choices; a one-subcommand parser fed the rest of argv must match the
+    # full tree fed all of it everywhere else.
     def error(self, message):
         raise _UsageMessage(message)
 
@@ -543,42 +545,57 @@ def test_one_subcommand_parses_as_the_full_tree(monkeypatch):
     full = cli.build_parser()
     assert tuple(_subparsers(full)) == _NAMES
     for name in _NAMES:
-        one = _subparsers(cli.build_parser(name))
-        assert tuple(one) == (name,) and one[name].format_help() == _subparsers(full)[name].format_help()
+        assert cli._command_parser(name).format_help() == _subparsers(full)[name].format_help()
     for argv, _ in _COMMANDS:
         argv = ["doc.json" if arg == "{}" else arg for arg in argv]
-        one = cli.build_parser(argv[0])
-        assert one.parse_args(argv) == full.parse_args(argv)
+        one = cli._command_parser(argv[0])
+        parsed = vars(full.parse_args(argv))
+        assert parsed.pop("command") == argv[0]
+        assert vars(one.parse_args(argv[1:])) == parsed
         # A missing first flag (--in for the matrix and tuple commands), an
-        # unknown flag, and a grid below its floor or a flag the command lacks.
-        for bad in (argv[:1] + argv[3:], argv + ["--no-such-flag"], argv + ["--grid", "1"]):
+        # unknown flag, a grid below its floor or a flag the command lacks,
+        # an argument after "--", and a stray positional.
+        bads = (
+            argv[:1] + argv[3:],
+            argv + ["--no-such-flag"],
+            argv + ["--grid", "1"],
+            argv + ["--", "x"],
+            argv[:1] + ["stray"] + argv[1:],
+        )
+        for bad in bads:
             messages = []
-            for parser in (one, full):
+            for parser, args in ((one, bad[1:]), (full, bad)):
                 with pytest.raises(_UsageMessage) as caught:
-                    parser.parse_args(bad)
+                    parser.parse_args(args)
                 messages.append(str(caught.value))
             assert messages[0] == messages[1]
 
 
 def test_main_builds_only_the_subcommand_it_runs(monkeypatch, tmp_path, capsys):
     built = []
-    real = cli.build_parser
 
-    def spy(name=None):
-        parser = real(name)
-        built.append(tuple(_subparsers(parser)))
-        return parser
+    def spy(builder):
+        def build(*args):
+            built.append(builder.__name__)
+            return builder(*args)
 
-    monkeypatch.setattr(cli, "build_parser", spy)
+        return build
+
+    monkeypatch.setattr(cli, "build_parser", spy(cli.build_parser))
+    monkeypatch.setattr(cli, "_command_parser", spy(cli._command_parser))
     eye = Mat2(QPolyUV.const(1), QPolyUV.zero(), QPolyUV.zero(), QPolyUV.const(1))
     path = write_json(tmp_path / "eye.json", eye.to_json())
     rc, out, err = run(capsys, "split", "--in", path)
     assert rc == 1 and json.loads(err)["error"] == "NotDegenerate"
-    assert built == [("split",)]
+    assert built == ["_command_parser"]
+    for name in _NAMES:
+        built.clear()
+        assert run(capsys, name, "--no-such-flag")[0] == 2
+        assert built == ["_command_parser"]
     for argv in ((), ("--help",), ("--", "split"), ("bogus",)):
         built.clear()
         assert run(capsys, *argv)[0] in (0, 2)
-        assert built == [_NAMES]
+        assert built == ["build_parser"]
     # argv from sys.argv, a tuple and a generator all reach the same parser.
     monkeypatch.setattr(sys, "argv", ["quatsurf", "degenerate", "--in", path])
     argvs = (None, ("degenerate", "--in", path), (arg for arg in ("degenerate", "--in", path)))
@@ -586,4 +603,37 @@ def test_main_builds_only_the_subcommand_it_runs(monkeypatch, tmp_path, capsys):
         built.clear()
         rc = main() if argv is None else main(argv)
         assert rc == 0 and json.loads(capsys.readouterr().out) == {"degenerate": False}
-        assert built == [("degenerate",)]
+        assert built == ["_command_parser"]
+
+
+# Every kind of value cli._dump writes itself, nested: ints past 64 bits of
+# either sign, and text with quotes, backslashes, control characters and
+# characters outside ASCII and outside the basic plane.
+_TEXT = st.text(st.sampled_from('"\\/\x00\x1f\x7f\n\t\u2028é€\U0001f600') | st.characters())
+_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.integers(min_value=2**64) | st.integers(max_value=-(2**64)) | _TEXT,
+    lambda children: st.lists(children) | st.lists(children).map(tuple) | st.dictionaries(_TEXT, children),
+    max_leaves=30,
+)
+
+
+@given(_VALUES)
+def test_dump_writes_what_json_dumps_writes(value):
+    assert cli._dump(value) == json.dumps(value, sort_keys=True, indent=2) + "\n"
+
+
+@pytest.mark.parametrize(
+    "value",
+    [0.1, -0.0, 1e300, float("nan"), [1.5, {"x": [2.5e-8]}], {"a": {1: [True], 2.5: None}}, [{3: "x", 1: []}]],
+)
+def test_dump_hands_other_values_to_json(value):
+    assert cli._dump(value) == json.dumps(value, sort_keys=True, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("value", [Fraction(1, 2), [{"a": Fraction(1, 2)}], {"a": 1, 2: "b"}])
+def test_dump_raises_the_type_error_json_raises(value):
+    with pytest.raises(TypeError) as expected:
+        json.dumps(value, sort_keys=True, indent=2)
+    with pytest.raises(TypeError) as caught:
+        cli._dump(value)
+    assert str(caught.value) == str(expected.value)

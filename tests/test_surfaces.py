@@ -51,6 +51,7 @@ from helpers import (
     rand_fraction,
     reference_circle_or_line,
     reference_circle_point,
+    reference_cross_ratio_circle,
     reference_cyclide_implicit,
     reference_plane_circumcenter,
     reference_coordinate_curve,
@@ -918,6 +919,33 @@ def weave_curves(draw):
 @given(weave_curves())
 def test_circle_recognition_matches_fraction_reference(points):
     assert _circle_outcome(is_circle_or_line, points) == _circle_outcome(reference_plane_circumcenter, points)
+
+
+@given(curve_points() | weave_curves())
+def test_circle_recognition_matches_the_cross_ratio_reference(points):
+    # weave_curves runs up to 64 points, past reference_circle_or_line's ten;
+    # its spoiled sets get an error, which the cross-ratio has no part in.
+    outcome = _circle_outcome(is_circle_or_line, points)
+    assume(isinstance(outcome, bool))
+    assert outcome == reference_cross_ratio_circle(points)
+
+
+@pytest.mark.parametrize("family", ["e", "c"])
+def test_cross_ratio_reference_on_64_point_curves(family):
+    rng = random.Random(58)
+    if family == "e":
+        spec = SurfaceSpec.family_e(rand_circle3(rng), rand_circle3(rng))
+    else:
+        spec = SurfaceSpec.family_c(rand_circle_s3(rng), rand_circle_s3(rng))
+    points = coordinate_curve(spec, "v", Fraction(-1, 3), grid_params(64), mask_poles=True)
+    assert len(points) > 10
+    line = [(t, 2 * t, -t) for t in grid_params(64)]
+    for curve in (points, line):
+        assert is_circle_or_line(curve) and reference_cross_ratio_circle(curve)
+        for i, shift in ((40, (0, 0, Fraction(1, 7))), (5, (1, 0, 0))):
+            moved = list(curve)
+            moved[i] = tuple(a + b for a, b in zip(curve[i], shift))
+            assert not is_circle_or_line(moved) and not reference_cross_ratio_circle(moved)
 
 
 def test_circle_recognition_sees_a_tiny_move_on_large_denominators():
